@@ -5,7 +5,6 @@ from .embedding import (
     EmbeddingResult,
     embed,
     embedding_residual,
-    gram_from_distances,
     snowflake_embed,
 )
 from .errors import SnowflakeError
@@ -35,6 +34,7 @@ from .negative_type import (
     check_strict_negative_type,
     general_position_certificate,
     geometric_form_check,
+    gram_from_distances,
     quadratic_form,
 )
 from .quotient import (

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .groups import IDENTIFICATION_TOL, OrthogonalAction, close_group
 from .metric import euclidean_metric, snowflake, validate_metric
-from .negative_type import check_negative_type, check_strict_negative_type
+from .negative_type import DEFAULT_TOL, check_negative_type, check_strict_negative_type
 from .quotient import lift_orbits, qng_embed
 from .schoenberg import (
     QuadratureSpec,
@@ -43,8 +43,6 @@ EXIT_PASS = 0
 EXIT_PROPERTY = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
-
-DEFAULT_TOL = 1e-9
 
 
 class InputError(Exception):
@@ -89,9 +87,17 @@ def _load_table(path: Path, key: str) -> np.ndarray:
     if arr.ndim != 2:
         raise InputError(f"{path}: expected a 2-d array, got shape {arr.shape}")
     declared = obj.get("n") if isinstance(obj, dict) else None
-    if declared is not None and int(declared) != arr.shape[0]:
+    if declared is not None and _json_number(path, "n", declared, int) != arr.shape[0]:
         raise InputError(f"{path}: declared n = {declared} but found {arr.shape[0]} rows")
     return arr
+
+
+def _json_number(path: Path, field: str, value, kind):
+    """``kind(value)`` for a scalar field of an input file, or InputError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}: field {field!r} must be a number, got {value!r}")
 
 
 def _load_metric_matrix(path: Path) -> np.ndarray:
@@ -114,7 +120,7 @@ def _load_action(path: Path) -> OrthogonalAction:
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object")
-    tol = float(obj.get("tolerance", IDENTIFICATION_TOL))
+    tol = _json_number(path, "tolerance", obj.get("tolerance", IDENTIFICATION_TOL), float)
     mats = obj.get("generators", obj.get("matrices"))
     if mats is None:
         raise InputError(f"{path}: expected a 'generators' or 'matrices' field")
@@ -122,9 +128,13 @@ def _load_action(path: Path) -> OrthogonalAction:
         mats = [np.asarray(m, dtype=float) for m in mats]
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
+    if not mats:
+        raise InputError(f"{path}: the group needs at least one matrix")
     dim = obj.get("dim")
-    if dim is not None and mats and mats[0].shape != (int(dim), int(dim)):
-        raise InputError(f"{path}: declared dim = {dim} but matrices have shape {mats[0].shape}")
+    if dim is not None:
+        dim = _json_number(path, "dim", dim, int)
+        if mats[0].shape != (dim, dim):
+            raise InputError(f"{path}: declared dim = {dim} but matrices have shape {mats[0].shape}")
     return close_group(mats, tol=tol)
 
 
@@ -190,17 +200,25 @@ def _write_points(path: str, body: dict) -> None:
 # commands
 
 
+def _validated(args, command: str, inputs: dict, matrix, payload: dict,
+               tolerances: dict, label: str):
+    """The validated metric, or None after emitting the failure report."""
+    try:
+        return validate_metric(matrix, tol=args.tol)
+    except (MetricValidationError, DimensionMismatch) as exc:
+        _emit(args, command, inputs, False,
+              {**payload, "violation": _error_payload(exc)}, tolerances,
+              [f"{label}{exc}"])
+        return None
+
+
 def _cmd_validate(args) -> int:
     path = Path(args.metric)
     inputs = {"metric": _digest(path)}
     matrix = _load_metric_matrix(path)
-    try:
-        space = validate_metric(matrix, tol=args.tol)
-    except (MetricValidationError, DimensionMismatch) as exc:
-        _emit(args, "validate", inputs, False,
-              {"valid": False, "violation": _error_payload(exc)},
-              {"triangle_tol": args.tol},
-              [f"INVALID: {exc}"])
+    space = _validated(args, "validate", inputs, matrix, {"valid": False},
+                       {"triangle_tol": args.tol}, "INVALID: ")
+    if space is None:
         return EXIT_PROPERTY
     _emit(args, "validate", inputs, True,
           {"valid": True, "n": space.n},
@@ -216,17 +234,13 @@ def _cmd_negtype(args) -> int:
     tolerances = {"spectral_tol": args.tol, "triangle_tol": args.tol}
     payload = {"alpha": args.alpha, "strict": args.strict}
 
-    try:
-        X = validate_metric(matrix, tol=args.tol)
-    except (MetricValidationError, DimensionMismatch) as exc:
-        _emit(args, "negtype", inputs, False,
-              {**payload, "violation": _error_payload(exc)}, tolerances,
-              [f"FAIL: input is not a metric: {exc}"])
+    X = _validated(args, "negtype", inputs, matrix, payload, tolerances,
+                   "FAIL: input is not a metric: ")
+    if X is None:
         return EXIT_PROPERTY
 
     try:
         if args.strict and args.alpha is not None:
-            base = check_negative_type(X, tol=args.tol)
             report = check_strict_negative_type(X, args.alpha, tol=args.tol)
         else:
             Y = snowflake(X, args.alpha) if args.alpha is not None else X
@@ -234,7 +248,7 @@ def _cmd_negtype(args) -> int:
     except NotStrict as exc:
         payload.update({
             "failure": _error_payload(exc),
-            "is_negative_type": base.is_negative_type,
+            "is_negative_type": check_negative_type(X, tol=args.tol).is_negative_type,
             "is_strict": False,
             "min_eigenvalue": _judged(exc.min_eigenvalue, args.tol),
             "witness": _jsonable(exc.witness),
@@ -273,12 +287,9 @@ def _cmd_embed(args) -> int:
         print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        X = validate_metric(matrix, tol=args.tol)
-    except (MetricValidationError, DimensionMismatch) as exc:
-        _emit(args, "embed", inputs, False,
-              {"violation": _error_payload(exc)}, tolerances,
-              [f"FAIL: input is not a metric: {exc}"])
+    X = _validated(args, "embed", inputs, matrix, {}, tolerances,
+                   "FAIL: input is not a metric: ")
+    if X is None:
         return EXIT_PROPERTY
 
     theorem_applies = args.alpha is not None and 0.0 < args.alpha < 1.0

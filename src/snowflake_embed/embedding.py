@@ -23,10 +23,12 @@ from .metric import (
     snowflake,
     squared_distance_matrix,
 )
-from .negative_type import check_negative_type, sumzero_basis
-
-#: Relative eigenvalue cutoff for keeping embedding dimensions.
-DEFAULT_TOL = 1e-9
+from .negative_type import (
+    DEFAULT_TOL,
+    centered_spectrum,
+    check_negative_type,
+    gram_from_distances,
+)
 
 #: Largest admissible relative distance-reconstruction error.
 RESIDUAL_LIMIT = 1e-8
@@ -52,23 +54,6 @@ class EmbeddingResult:
     residual: float
 
 
-def gram_from_distances(D) -> np.ndarray:
-    """Double centering: B = -1/2 P D P with P = I - ones/n.
-
-    B is symmetric and annihilates the all-ones vector.
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise DimensionMismatch(f"squared-distance matrix must be square, got {D.shape}")
-    if (D != D.T).any():
-        raise ValueError("squared-distance matrix must be symmetric")
-    if (np.diagonal(D) != 0.0).any():
-        raise ValueError("squared-distance matrix must have zero diagonal")
-    r = D.mean(axis=1)
-    B = -0.5 * (D - r[:, None] - r[None, :] + r.mean())
-    return 0.5 * (B + B.T)
-
-
 def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """Isometrically embed X into Euclidean space, if possible.
 
@@ -80,15 +65,8 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """
     if X.n > MAX_POINTS:
         raise ValueError(f"point count {X.n} exceeds the configured cap {MAX_POINTS}")
-    D = squared_distance_matrix(X)
-    B = gram_from_distances(D)
-    V = sumzero_basis(X.n)
-    M = V.T @ B @ V
-    M = 0.5 * (M + M.T)
-    mu, W = np.linalg.eigh(M)
-    order = np.argsort(-mu, kind="stable")
-    mu = mu[order]
-    U = (V @ W)[:, order]
+    mu, U = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
+    mu, U = mu[::-1], U[:, ::-1]
 
     lam_max = max(float(mu[0]), 0.0) if mu.size else 0.0
     if mu.size and mu[-1] < -tol * lam_max:

@@ -67,39 +67,47 @@ def as_weights(lam) -> np.ndarray:
     return np.asarray(lam, dtype=float)
 
 
-def sumzero_basis(n: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of the sum-zero subspace of R^n.
+def gram_from_distances(D) -> np.ndarray:
+    """Double centering: B = -1/2 P D P with P = I - ones/n.
 
-    Columns 1..n-1 of the Householder reflection sending ones/sqrt(n)
-    to -e_0; deterministic and exactly orthogonal to machine precision.
+    B is symmetric and annihilates the all-ones vector.
     """
-    e0 = np.zeros(n)
-    if n:
-        e0[0] = 1.0
-    u = np.full(n, 1.0 / np.sqrt(n)) if n else np.zeros(0)
-    w = u + e0
-    H = np.eye(n) - 2.0 * np.outer(w, w) / (w @ w) if n else np.eye(0)
-    return H[:, 1:]
-
-
-def _centered_form(D: np.ndarray) -> np.ndarray:
-    # -1/2 P D P via row/column means; symmetrized to kill 1-ulp asymmetry
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise DimensionMismatch(f"squared-distance matrix must be square, got {D.shape}")
+    if (D != D.T).any():
+        raise ValueError("squared-distance matrix must be symmetric")
+    if (np.diagonal(D) != 0.0).any():
+        raise ValueError("squared-distance matrix must have zero diagonal")
     r = D.mean(axis=1)
     B = -0.5 * (D - r[:, None] - r[None, :] + r.mean())
     return 0.5 * (B + B.T)
 
 
-def restricted_spectrum(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of -1/2 P D P on the sum-zero subspace.
+def centered_spectrum(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the symmetric form B on the sum-zero subspace.
 
     Returns ascending eigenvalues (length n-1) and the corresponding
-    sum-zero eigenvectors as columns of an (n, n-1) matrix.
+    sum-zero eigenvectors as orthonormal columns of an (n, n-1) matrix.
+    The basis is columns 1..n-1 of the Householder reflection
+    H = I - c w w^T sending ones/sqrt(n) to -e_0; H B H is applied as a
+    rank-2 update of B and H to the eigenvectors as a rank-1 update, so
+    no n x n basis is formed.
     """
-    V = sumzero_basis(D.shape[0])
-    M = V.T @ _centered_form(D) @ V
-    M = 0.5 * (M + M.T)
+    n = B.shape[0]
+    if n < 2:
+        return np.zeros(0), np.zeros((n, 0))
+    w = np.full(n, 1.0 / np.sqrt(n))
+    w[0] += 1.0
+    c = 2.0 / (w @ w)
+    Bw = B @ w
+    # H B H = B - w y^T - y w^T
+    y = c * Bw - 0.5 * c * c * (w @ Bw) * w
+    w1, y1 = w[1:], y[1:]
+    M = B[1:, 1:] - (np.outer(w1, y1) + np.outer(y1, w1))
     evals, W = np.linalg.eigh(M)
-    return evals, V @ W
+    vecs = np.vstack([np.zeros((1, n - 1)), W]) - c * np.outer(w, w1 @ W)
+    return evals, vecs
 
 
 def quadratic_form(D, lam) -> float:
@@ -121,8 +129,7 @@ def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Negat
     most negative eigenvalue; when merely degenerate (not strict), it is
     the eigenvector of the near-zero eigenvalue.
     """
-    D = squared_distance_matrix(X)
-    evals, vecs = restricted_spectrum(D)
+    evals, vecs = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
     if evals.size == 0:
         return NegativeTypeReport(True, True, np.inf, None)
     scale = float(max(abs(evals[0]), abs(evals[-1])))
@@ -209,7 +216,7 @@ def general_position_certificate(P, tol: float = DEFAULT_TOL) -> NegativeTypeRep
     """
     cloud = as_point_cloud(P)
     D = squared_distance_matrix(euclidean_metric(cloud))
-    evals, vecs = restricted_spectrum(D)
+    evals, vecs = centered_spectrum(gram_from_distances(D))
     if evals.size == 0:
         return NegativeTypeReport(True, True, np.inf, None)
     lam_max = float(evals[-1])

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embedding import gram_from_distances
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -29,9 +28,7 @@ from .errors import (
 )
 from .groups import OrthogonalAction
 from .metric import SnowflakeExponent, exponent_value, pairwise_distances
-from .negative_type import sumzero_basis
-
-DEFAULT_TOL = 1e-9
+from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances
 
 SCALE_NOTE = (
     "distances are measured in the Euclidean structure induced on the "
@@ -90,7 +87,8 @@ class QngEmbedding:
     square root T (annihilates the all-ones vector and commutes with every
     regular permutation); ``spectrum`` is the nonincreasing spectrum of the
     induced form, which has exactly one zero eigenvalue for free
-    configurations and alpha < 1.
+    configurations and alpha < 1.  That trivial eigenvalue, along the
+    all-ones vector, is reported as exactly 0.0.
     """
 
     points: np.ndarray
@@ -212,11 +210,9 @@ def qng_embed(
     size = Q.size
     e_idx = Q.action.group.identity_index
 
-    dists = pairwise_distances(Q.lifted)
-    if alpha == 0.0:
-        D = np.ones((size, size)) - np.eye(size)
-    else:
-        D = dists ** (2.0 * alpha)
+    # at alpha = 0 the power is 1 everywhere, diagonal included
+    D = pairwise_distances(Q.lifted) ** (2.0 * alpha)
+    np.fill_diagonal(D, 0.0)
     B = gram_from_distances(D)
 
     perm_mats = regular_permutation_matrices(Q)
@@ -225,17 +221,12 @@ def qng_embed(
     if defect_B > inv_tol:
         raise InvarianceViolation(defect_B, inv_tol)
 
-    evals = np.linalg.eigvalsh(B)
     # The square root is taken on the sum-zero restriction so that T
     # annihilates the all-ones vector exactly; otherwise the trivial
     # eigenvalue of B (zero only up to round-off) leaks a sqrt(eps)-sized
     # component into every embedded point.
-    V = sumzero_basis(size)
-    M = V.T @ B @ V
-    M = 0.5 * (M + M.T)
-    mu, W = np.linalg.eigh(M)
-    root = (W * np.sqrt(np.clip(mu, 0.0, None))) @ W.T
-    T = V @ root @ V.T
+    mu, U = centered_spectrum(B)
+    T = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
     T = 0.5 * (T + T.T)
     defect_T = equivariance_defect(T, perm_mats)
 
@@ -261,7 +252,8 @@ def qng_embed(
     if max_err > verify_tol:
         raise VerificationFailure(max_err, verify_tol, report=report)
 
-    spectrum = evals[::-1].copy()
+    # B is the restricted form plus the exact zero along the all-ones vector
+    spectrum = np.sort(np.append(mu, 0.0))[::-1]
     for arr in (points, T, spectrum):
         arr.flags.writeable = False
     return QngEmbedding(

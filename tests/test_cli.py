@@ -65,6 +65,10 @@ class TestValidate:
         path = write_json(tmp_path / "short.json", {"n": 5, "distances": [[0, 1], [1, 0]]})
         assert main(["validate", path]) == 3
 
+    def test_declared_n_not_a_number(self, tmp_path):
+        path = write_json(tmp_path / "odd.json", {"n": "x", "distances": [[0, 1], [1, 0]]})
+        assert main(["validate", path]) == 3
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["validate"])
@@ -115,6 +119,17 @@ class TestNegtype:
         # 2*(2**1.8 - 3) > 0 on the snowflaked squared distances
         assert 2 * (2 ** 1.8 - 3) > 0
         assert main(["negtype", claw_json, "--alpha", "0.9"]) == 2
+
+    def test_strict_claw_fails_hypothesis(self, claw_json, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = main([
+            "negtype", claw_json, "--alpha", "0.5", "--strict",
+            "--json", str(report_path),
+        ])
+        assert code == 2
+        payload = json.loads(report_path.read_text())["payload"]
+        assert payload["is_negative_type"] is False
+        assert payload["failure"]["reason"] == "input metric is not of negative type"
 
     def test_alpha_out_of_range(self, collinear_json):
         assert main(["negtype", collinear_json, "--alpha", "1.5"]) == 4
@@ -251,6 +266,16 @@ class TestQuotientEmbed:
         group.write_text("-1.0\n")
         reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
         assert main(["quotient-embed", str(group), reps]) == 3
+
+    @pytest.mark.parametrize("group", [
+        {"generators": []},
+        {"generators": [[[-1.0]]], "tolerance": "abc"},
+        {"generators": [[[-1.0]]], "dim": "x"},
+    ])
+    def test_malformed_group_rejected(self, group, tmp_path):
+        path = write_json(tmp_path / "group.json", group)
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
+        assert main(["quotient-embed", path, reps]) == 3
 
     def test_csv_reps_accepted(self, c2_group_json, tmp_path):
         reps = tmp_path / "reps.csv"

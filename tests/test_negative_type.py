@@ -7,6 +7,7 @@ from snowflake_embed import (
     euclidean_metric,
     general_position_certificate,
     geometric_form_check,
+    gram_from_distances,
     quadratic_form,
     snowflake,
     squared_distance_matrix,
@@ -19,7 +20,7 @@ from snowflake_embed.errors import (
     DuplicatePoints,
     NotStrict,
 )
-from snowflake_embed.negative_type import WeightVector, sumzero_basis
+from snowflake_embed.negative_type import WeightVector, centered_spectrum
 
 
 def brute_force_form(D, lam):
@@ -80,13 +81,31 @@ class TestQuadraticForm:
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
-class TestSumzeroBasis:
+class TestCenteredSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
-    def test_orthonormal_and_sum_zero(self, n):
-        V = sumzero_basis(n)
+    def test_orthonormal_and_sum_zero(self, n, make_cloud):
+        D = squared_distance_matrix(euclidean_metric(make_cloud(n, 3)))
+        B = gram_from_distances(D)
+        evals, V = centered_spectrum(B)
+        assert evals.shape == (n - 1,)
         assert V.shape == (n, n - 1)
+        assert np.all(np.diff(evals) >= 0)
         assert np.allclose(V.T @ V, np.eye(n - 1), atol=1e-14)
-        assert np.abs(V.sum(axis=0)).max() < 1e-13 if n > 1 else True
+        if n > 1:
+            scale = np.abs(evals).max()
+            assert np.abs(V.sum(axis=0)).max() < 1e-13
+            assert np.abs(B @ V - V * evals).max() <= 1e-12 * scale
+            assert np.allclose(evals, np.sort(full_spectrum_oracle(D)), rtol=0, atol=1e-12 * scale)
+
+    def test_claw_matches_oracle(self, claw_matrix):
+        D = claw_matrix ** 2
+        B = gram_from_distances(D)
+        evals, V = centered_spectrum(B)
+        # frozen from the hand eigendecomposition: restricted spectrum {2, 1/2, -1/4}
+        assert np.allclose(evals, [-0.25, 0.5, 2.0], rtol=0, atol=1e-12)
+        assert np.allclose(evals, np.sort(full_spectrum_oracle(D)), rtol=0, atol=1e-12)
+        assert np.abs(B @ V - V * evals).max() <= 1e-12 * 2.0
+        assert np.abs(V.sum(axis=0)).max() < 1e-13
 
 
 class TestCheckNegativeType:
