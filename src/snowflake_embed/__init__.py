@@ -44,7 +44,6 @@ from .quotient import (
     lift_orbits,
     qng_embed,
     quotient_distance,
-    regular_permutation_matrices,
 )
 from .schoenberg import (
     QuadratureSpec,
@@ -90,7 +89,6 @@ __all__ = [
     "quadratic_form",
     "quotient_distance",
     "reflection_action",
-    "regular_permutation_matrices",
     "rotation_action",
     "schoenberg_constant",
     "schoenberg_constant_quadrature",

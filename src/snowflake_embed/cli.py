@@ -130,6 +130,10 @@ def _load_action(path: Path) -> OrthogonalAction:
         raise InputError(f"{path}: {exc}")
     if not mats:
         raise InputError(f"{path}: the group needs at least one matrix")
+    shape = mats[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(m.shape != shape for m in mats):
+        raise InputError(f"{path}: expected square matrices of one shape, got "
+                         f"{sorted({m.shape for m in mats})}")
     dim = obj.get("dim")
     if dim is not None:
         dim = _json_number(path, "dim", dim, int)

@@ -64,7 +64,7 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     against RESIDUAL_LIMIT.
     """
     if X.n > MAX_POINTS:
-        raise ValueError(f"point count {X.n} exceeds the configured cap {MAX_POINTS}")
+        raise DomainError(f"point count {X.n} exceeds the configured cap {MAX_POINTS}")
     mu, U = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
     mu, U = mu[::-1], U[:, ::-1]
 

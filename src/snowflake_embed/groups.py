@@ -128,15 +128,22 @@ class OrthogonalAction:
         object.__setattr__(self, "matrices", mats)
 
 
-def _identify(stack: np.ndarray, candidate: np.ndarray, tol: float) -> int | None:
-    """Index of ``candidate`` in ``stack``, None if new, ambiguity if unclear."""
-    dist = np.abs(stack - candidate[None]).max(axis=(1, 2))
-    nearest = int(dist.argmin())
-    if dist[nearest] <= tol:
-        return nearest
-    if dist[nearest] <= 10.0 * tol:
-        raise NumericalAmbiguity(dist[nearest], tol)
-    return None
+def _identify(stack: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
+    """Index in ``stack`` of each candidate, -1 if new, ambiguity if unclear.
+
+    Candidates are judged in order: the first one that is not within ``tol``
+    of its nearest element raises NumericalAmbiguity if it lies in the band
+    (tol, 10 tol].
+    """
+    # entry by entry, so temporaries stay (candidates, stack) in size
+    dist = np.zeros((len(candidates), len(stack)))
+    for c, s in zip(candidates.reshape(len(candidates), -1).T, stack.reshape(len(stack), -1).T):
+        np.maximum(dist, np.abs(c[:, None] - s[None]), out=dist)
+    best = dist.min(axis=1)
+    new = best > tol
+    if new.any() and best[new.argmax()] <= 10.0 * tol:
+        raise NumericalAmbiguity(best[new.argmax()], tol)
+    return np.where(new, -1, dist.argmin(axis=1))
 
 
 def close_group(
@@ -154,7 +161,10 @@ def close_group(
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
         raise ValueError("need at least one generator; use trivial_action for the trivial group")
-    m = gens[0].shape[0]
+    shape = gens[0].shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionMismatch(f"generator 0 has shape {shape}, expected a square matrix")
+    m = shape[0]
     for idx, g in enumerate(gens):
         if g.shape != (m, m):
             raise DimensionMismatch(f"generator {idx} has shape {g.shape}, expected ({m}, {m})")
@@ -164,29 +174,28 @@ def close_group(
         u, _, vt = np.linalg.svd(g)
         gens[idx] = u @ vt
 
-    elements = [np.eye(m)]
-    frontier = [np.eye(m)]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                prod = e @ g
-                if _identify(np.stack(elements), prod, tol) is None:
-                    if len(elements) >= max_order:
-                        raise OrderExceeded(max_order)
-                    elements.append(prod)
-                    new.append(prod)
-        frontier = new
+    # breadth-first: stack[i] is expanded once every element before it has
+    # been; stack[:order] is what each new product is identified against
+    stack = np.empty((max(max_order, 1), m, m))
+    stack[0] = np.eye(m)
+    order = 1
+    i = 0
+    while i < order:
+        for g in gens:
+            prod = stack[i] @ g
+            if _identify(stack[:order], prod[None], tol)[0] < 0:
+                if order >= max_order:
+                    raise OrderExceeded(max_order)
+                stack[order] = prod
+                order += 1
+        i += 1
 
-    stack = np.stack(elements)
-    order = len(elements)
+    stack = stack[:order]
     table = np.empty((order, order), dtype=int)
     for i in range(order):
-        for j in range(order):
-            idx = _identify(stack, elements[i] @ elements[j], tol)
-            if idx is None:
-                raise NumericalAmbiguity(np.inf, tol)
-            table[i, j] = idx
+        table[i] = _identify(stack, stack[i] @ stack, tol)
+        if table[i].min() < 0:
+            raise NumericalAmbiguity(np.inf, tol)
     group = FiniteGroup.from_table(table)
     return OrthogonalAction(group=group, dim=m, matrices=stack)
 

@@ -143,10 +143,9 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
             raise NonFreeOrbit(kp, [hp, hq])
         raise OrbitCollision(kp, kq)
 
-    perms = np.empty((order, size), dtype=int)
-    offsets = np.arange(n)[:, None] * order
-    for g in range(order):
-        perms[g] = (offsets + action.group.table[g][None, :]).reshape(size)
+    # perms[g, k * order + h] = k * order + table[g, h]
+    perms = (np.arange(n)[None, :, None] * order
+             + action.group.table[:, None, :]).reshape(order, size)
     perms.flags.writeable = False
     lifted = lifted.copy()
     lifted.flags.writeable = False
@@ -160,27 +159,16 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
     )
 
 
-def regular_permutation_matrices(Q: QuotientConfiguration) -> list[np.ndarray]:
-    """Permutation matrices pi(g) e_(k,h) = e_(k, g h); an exact homomorphism."""
-    size = Q.size
-    mats = []
-    for sigma in Q.action_permutations:
-        P = np.zeros((size, size))
-        P[sigma, np.arange(size)] = 1.0
-        mats.append(P)
-    return mats
-
-
 def equivariance_defect(T, perms) -> float:
-    """Largest absolute entry of T pi(g) - pi(g) T over the given permutations."""
+    """Largest entry of |T[ix_(s, s)] - T| over the rows s of ``perms``, such as
+    ``QuotientConfiguration.action_permutations``: the entries of T pi - pi T,
+    rearranged, for the permutation matrix pi with pi e_j = e_(s[j]).
+    """
     T = np.asarray(T, dtype=float)
-    worst = 0.0
-    for P in perms:
-        P = np.asarray(P, dtype=float)
-        if P.shape != T.shape:
-            raise DimensionMismatch(f"permutation shape {P.shape} against matrix {T.shape}")
-        worst = max(worst, float(np.abs(T @ P - P @ T).max()))
-    return worst
+    perms = np.asarray(perms)
+    if perms.ndim != 2 or T.shape != (perms.shape[1],) * 2:
+        raise DimensionMismatch(f"permutations of shape {perms.shape} against matrix {T.shape}")
+    return max((float(np.abs(T[np.ix_(s, s)] - T).max()) for s in perms), default=0.0)
 
 
 def qng_embed(
@@ -215,8 +203,7 @@ def qng_embed(
     np.fill_diagonal(D, 0.0)
     B = gram_from_distances(D)
 
-    perm_mats = regular_permutation_matrices(Q)
-    defect_B = equivariance_defect(B, perm_mats)
+    defect_B = equivariance_defect(B, Q.action_permutations)
     inv_tol = tol * (1.0 + float(np.abs(B).max()))
     if defect_B > inv_tol:
         raise InvarianceViolation(defect_B, inv_tol)
@@ -228,7 +215,7 @@ def qng_embed(
     mu, U = centered_spectrum(B)
     T = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
     T = 0.5 * (T + T.T)
-    defect_T = equivariance_defect(T, perm_mats)
+    defect_T = equivariance_defect(T, Q.action_permutations)
 
     base = np.full(size, 1.0 / size)
     points = base[None, :] + T[:, np.arange(n) * order + e_idx].T

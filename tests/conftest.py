@@ -53,3 +53,15 @@ def claw_matrix():
         [1.0, 1.0, 0.0, 1.0],
         [1.0, 1.0, 1.0, 0.0],
     ])
+
+
+@pytest.fixture(scope="session")
+def dense_permutations():
+    """Reference permutation matrices of a quotient configuration: the
+    matrix for row s of ``action_permutations`` sends e_j to e_(s[j])."""
+
+    def _dense(config):
+        eye = np.eye(config.size)
+        return [eye[:, s] for s in config.action_permutations]
+
+    return _dense

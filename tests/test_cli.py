@@ -167,6 +167,16 @@ class TestEmbed:
     def test_alpha_out_of_range(self, collinear_json):
         assert main(["embed", collinear_json, "--alpha", "1.5"]) == 4
 
+    def test_point_cap_is_usage_error(self, collinear_json, monkeypatch, capsys):
+        from snowflake_embed import embedding
+
+        monkeypatch.setattr(embedding, "MAX_POINTS", 2)
+        for argv in (["embed", collinear_json], ["embed", collinear_json, "--alpha", "0.5"]):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert "exceeds the configured cap 2" in err
+            assert "Traceback" not in err
+
     def test_report_roundtrips(self, collinear_json, tmp_path):
         report_path = tmp_path / "report.json"
         main(["embed", collinear_json, "--alpha", "0.5", "--json", str(report_path)])
@@ -271,6 +281,9 @@ class TestQuotientEmbed:
         {"generators": []},
         {"generators": [[[-1.0]]], "tolerance": "abc"},
         {"generators": [[[-1.0]]], "dim": "x"},
+        {"generators": [5]},
+        {"generators": [[1, 0]]},
+        {"matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]},
     ])
     def test_malformed_group_rejected(self, group, tmp_path):
         path = write_json(tmp_path / "group.json", group)

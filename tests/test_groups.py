@@ -112,6 +112,13 @@ class TestCloseGroup:
         with pytest.raises(DimensionMismatch):
             close_group([np.eye(2), np.eye(3)])
 
+    @pytest.mark.parametrize("generator", [np.array(5.0), np.ones((2, 3))])
+    def test_non_square_first_generator_rejected(self, generator):
+        from snowflake_embed.errors import DimensionMismatch
+
+        with pytest.raises(DimensionMismatch):
+            close_group([generator])
+
 
 class TestFiniteGroupFromTable:
     def test_cyclic_three(self):

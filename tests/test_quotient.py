@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from snowflake_embed import (
     dihedral_action,
@@ -9,12 +11,12 @@ from snowflake_embed import (
     qng_embed,
     quotient_distance,
     reflection_action,
-    regular_permutation_matrices,
     rotation_action,
     snowflake_embed,
     trivial_action,
 )
 from snowflake_embed.errors import (
+    DimensionMismatch,
     DomainError,
     InvarianceViolation,
     NonFreeOrbit,
@@ -110,28 +112,27 @@ class TestLiftOrbits:
 class TestRegularPermutations:
     def test_identity_element(self):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
-        mats = regular_permutation_matrices(config)
-        assert np.array_equal(mats[config.action.group.identity_index], np.eye(4))
+        perms = config.action_permutations
+        assert np.array_equal(perms[config.action.group.identity_index], np.arange(4))
 
     def test_single_orbit_c2_is_swap(self):
         config = lift_orbits([[1.5]], reflection_action())
-        mats = regular_permutation_matrices(config)
-        assert np.array_equal(mats[1], [[0, 1], [1, 0]])
+        assert np.array_equal(config.action_permutations[1], [1, 0])
 
     def test_inverse_composition(self):
         config = lift_orbits([[1.0, 0.2], [2.0, 0.4]], rotation_action(4))
-        mats = regular_permutation_matrices(config)
+        perms = config.action_permutations
         inv = config.action.group.inverse
-        for g, P in enumerate(mats):
-            assert np.array_equal(P @ mats[inv[g]], np.eye(config.size))
+        for g, sigma in enumerate(perms):
+            assert np.array_equal(sigma[perms[inv[g]]], np.arange(config.size))
 
     def test_homomorphism_exact(self):
         config = lift_orbits([[1.0, 0.2]], dihedral_action(3))
-        mats = regular_permutation_matrices(config)
+        perms = config.action_permutations
         table = config.action.group.table
         for g in range(6):
             for h in range(6):
-                assert np.array_equal(mats[g] @ mats[h], mats[table[g, h]])
+                assert np.array_equal(perms[g][perms[h]], perms[table[g, h]])
 
     def test_permutations_match_geometry(self):
         # applying the group element to all lifted points permutes them
@@ -144,31 +145,50 @@ class TestRegularPermutations:
             )
 
 
+def dense_defect(T, mats):
+    """The defect by its definition, max |T P - P T| over permutation matrices."""
+    return max(float(np.abs(T @ P - P @ T).max()) for P in mats)
+
+
 class TestEquivarianceDefect:
     def test_identity_matrix(self):
         config = lift_orbits([[1.0]], reflection_action())
-        mats = regular_permutation_matrices(config)
-        assert equivariance_defect(np.eye(2), mats) == 0.0
+        assert equivariance_defect(np.eye(2), config.action_permutations) == 0.0
 
-    def test_abelian_permutation(self):
+    def test_abelian_permutation(self, dense_permutations):
         config = lift_orbits([[1.0, 0.0]], rotation_action(4))
-        mats = regular_permutation_matrices(config)
-        assert equivariance_defect(mats[1], mats) == 0.0
+        mats = dense_permutations(config)
+        assert equivariance_defect(mats[1], config.action_permutations) == 0.0
 
     def test_pipeline_root(self):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
         result = qng_embed(config, 0.5)
-        mats = regular_permutation_matrices(config)
-        assert equivariance_defect(result.gram_root, mats) <= 1e-10
+        assert equivariance_defect(result.gram_root, config.action_permutations) <= 1e-10
+
+    def test_matches_dense_reference(self, rng, dense_permutations):
+        for action in (dihedral_action(4), rotation_action(5)):
+            config = free_reps(rng, action, 3)
+            perms = config.action_permutations
+            mats = dense_permutations(config)
+            A = rng.normal(size=(config.size, config.size))
+            generic = A + A.T
+            assert equivariance_defect(generic, perms) > 0.0
+            for T in (generic, qng_embed(config, 0.5).gram_root):
+                assert equivariance_defect(T, perms) == dense_defect(T, mats)
+
+    def test_dimension_mismatch(self):
+        config = lift_orbits([[1.0], [2.0]], reflection_action())
+        with pytest.raises(DimensionMismatch):
+            equivariance_defect(np.eye(3), config.action_permutations)
 
 
 class TestQngEmbed:
-    def test_reflection_example(self):
+    def test_reflection_example(self, dense_permutations):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
         result = qng_embed(config, 0.5)
         assert result.points.shape == (2, 4)
         # oracle: minimum over the two permuted copies of the second point
-        mats = regular_permutation_matrices(config)
+        mats = dense_permutations(config)
         p0, p1 = result.points
         achieved = min(np.linalg.norm(p0 - P @ p1) for P in mats)
         assert achieved == pytest.approx(min(1.0, 3.0) ** 0.5, abs=1e-9)
@@ -196,11 +216,11 @@ class TestQngEmbed:
             zeros = int(np.sum(result.spectrum <= 1e-9 * top))
             assert zeros == 1
 
-    def test_equivariant_placement(self):
+    def test_equivariant_placement(self, dense_permutations):
         # the lift of (orbit k, element h) is pi(h) applied to point k
         config = lift_orbits([[1.0], [2.0]], reflection_action())
         result = qng_embed(config, 0.5)
-        mats = regular_permutation_matrices(config)
+        mats = dense_permutations(config)
         base = np.full(config.size, 1.0 / config.size)
         order = config.group_order
         for k in range(config.n_orbits):
@@ -214,11 +234,11 @@ class TestQngEmbed:
         result = qng_embed(config, 0.75)
         assert np.linalg.eigvalsh(result.gram_root).min() >= -1e-12
 
-    def test_minimizer_matches_geometric_argmin(self, rng):
+    def test_minimizer_matches_geometric_argmin(self, rng, dense_permutations):
         action = rotation_action(4)
         config = free_reps(rng, action, 3)
         result = qng_embed(config, 0.5)
-        mats = regular_permutation_matrices(config)
+        mats = dense_permutations(config)
         for i in range(3):
             for j in range(i + 1, 3):
                 geo = np.array([
@@ -281,3 +301,30 @@ class TestQngEmbed:
         result = qng_embed(config, 0.5)
         assert result.points.shape == (1, 1)
         assert result.report == []
+
+
+class TestQuotientProperties:
+    @given(
+        dihedral=st.booleans(),
+        k=st.integers(2, 8),
+        reps=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                      min_size=1, max_size=4),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_pipeline(self, dense_permutations, dihedral, k, reps, alpha):
+        action = dihedral_action(k) if dihedral else rotation_action(k)
+        try:
+            config = lift_orbits(reps, action, tol=1e-6)
+        except (NonFreeOrbit, OrbitCollision):
+            reject()
+        result = qng_embed(config, alpha)
+        assert result.max_abs_error <= 1e-9 * (1.0 + max(
+            (row.target for row in result.report), default=0.0))
+        assert result.equivariance_defect == dense_defect(
+            result.gram_root, dense_permutations(config))
+        perms = config.action_permutations
+        table = config.action.group.table
+        for g in range(config.group_order):
+            for h in range(config.group_order):
+                assert np.array_equal(perms[g][perms[h]], perms[table[g, h]])
