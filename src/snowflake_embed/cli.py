@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .embedding import RESIDUAL_LIMIT, embed, snowflake_embed
+from .embedding import RESIDUAL_LIMIT, check_point_count, embed, snowflake_embed
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -29,7 +29,7 @@ from .errors import (
     TheoremViolation,
 )
 from .groups import IDENTIFICATION_TOL, OrthogonalAction, close_group
-from .metric import euclidean_metric, snowflake, validate_metric
+from .metric import FiniteMetricSpace, euclidean_metric, snowflake, validate_metric
 from .negative_type import DEFAULT_TOL, check_negative_type, check_strict_negative_type
 from .quotient import lift_orbits, qng_embed
 from .schoenberg import (
@@ -100,15 +100,15 @@ def _json_number(path: Path, field: str, value, kind):
         raise InputError(f"{path}: field {field!r} must be a number, got {value!r}")
 
 
-def _load_metric_matrix(path: Path) -> np.ndarray:
-    """Distance matrix from a metric file, or from a point-cloud JSON
-    ({"points": [[...]]}), in which case the Euclidean metric is derived."""
+def _load_metric_matrix(path: Path) -> np.ndarray | FiniteMetricSpace:
+    """Distance matrix from a metric file, or the Euclidean metric space of a
+    point-cloud JSON ({"points": [[...]]}), which needs no validation."""
     if path.suffix.lower() == ".json":
         obj = _load_json(path)
         if isinstance(obj, dict) and "points" in obj and "distances" not in obj:
             try:
                 cloud = np.asarray(obj["points"], dtype=float)
-                return euclidean_metric(cloud).d
+                return euclidean_metric(cloud)
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{path}: {exc}")
     return _load_table(path, "distances")
@@ -195,8 +195,10 @@ def _emit(args, command: str, inputs: dict, outcome: bool, payload: dict,
 
 
 def _write_points(path: str, body: dict) -> None:
+    # compact json.dumps encodes in C in one pass; json.dump(indent=2)
+    # streams through the pure-Python encoder, slower on large matrices
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(body), fh, indent=2)
+        fh.write(json.dumps(_jsonable(body)))
         fh.write("\n")
 
 
@@ -206,7 +208,13 @@ def _write_points(path: str, body: dict) -> None:
 
 def _validated(args, command: str, inputs: dict, matrix, payload: dict,
                tolerances: dict, label: str):
-    """The validated metric, or None after emitting the failure report."""
+    """The validated metric, or None after emitting the failure report.
+
+    A point cloud's space is a metric by construction and passes through
+    without the O(n^3) triangle scan; distance matrices are checked in full.
+    """
+    if isinstance(matrix, FiniteMetricSpace):
+        return matrix
     try:
         return validate_metric(matrix, tol=args.tol)
     except (MetricValidationError, DimensionMismatch) as exc:
@@ -290,6 +298,7 @@ def _cmd_embed(args) -> int:
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
         print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
         return EXIT_USAGE
+    check_point_count(matrix.n if isinstance(matrix, FiniteMetricSpace) else len(matrix))
 
     X = _validated(args, "embed", inputs, matrix, {}, tolerances,
                    "FAIL: input is not a metric: ")

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import DimensionMismatch, DomainError, NotEmbeddable, TheoremViolation
 from .metric import (
     FiniteMetricSpace,
     SnowflakeExponent,
     exponent_value,
-    pairwise_distances,
     snowflake,
     squared_distance_matrix,
 )
@@ -54,6 +54,12 @@ class EmbeddingResult:
     residual: float
 
 
+def check_point_count(n: int) -> None:
+    """Raise DomainError when n points exceed MAX_POINTS."""
+    if n > MAX_POINTS:
+        raise DomainError(f"point count {n} exceeds the configured cap {MAX_POINTS}")
+
+
 def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """Isometrically embed X into Euclidean space, if possible.
 
@@ -63,8 +69,7 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     as a negative-type violator.  The reconstruction residual is verified
     against RESIDUAL_LIMIT.
     """
-    if X.n > MAX_POINTS:
-        raise DomainError(f"point count {X.n} exceeds the configured cap {MAX_POINTS}")
+    check_point_count(X.n)
     mu, U = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
     mu, U = mu[::-1], U[:, ::-1]
 
@@ -109,6 +114,7 @@ def snowflake_embed(
     ``eigenvalues[rank - 1]``, is the reported margin.  A smaller rank is a
     numerical breakdown and raises TheoremViolation.
     """
+    check_point_count(X.n)
     alpha = exponent_value(a)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"snowflake embedding needs alpha in (0, 1), got {alpha!r}")
@@ -126,7 +132,11 @@ def snowflake_embed(
 
 
 def embedding_residual(coords, X: FiniteMetricSpace) -> float:
-    """Max over pairs of | ||p_i - p_j|| - d_ij | / d_ij."""
+    """Max over pairs of | ||p_i - p_j|| - d_ij | / d_ij.
+
+    Both sides are compared in condensed (upper-triangle) form, so the
+    memory stays O(n^2) whatever the coordinate dimension.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] != X.n:
         raise DimensionMismatch(
@@ -134,6 +144,5 @@ def embedding_residual(coords, X: FiniteMetricSpace) -> float:
         )
     if X.n < 2:
         return 0.0
-    achieved = pairwise_distances(coords)
-    iu = np.triu_indices(X.n, k=1)
-    return float(np.max(np.abs(achieved[iu] - X.d[iu]) / X.d[iu]))
+    target = squareform(X.d, checks=False)
+    return float(np.max(np.abs(pdist(coords) - target) / target))

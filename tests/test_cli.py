@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from snowflake_embed import cli, embedding, euclidean_metric, snowflake_embed
 from snowflake_embed.cli import main
 from snowflake_embed.metric import pairwise_distances
 
@@ -23,6 +24,21 @@ def collinear_json(tmp_path):
 @pytest.fixture
 def claw_json(tmp_path, claw_matrix):
     return write_json(tmp_path / "claw.json", {"distances": claw_matrix.tolist()})
+
+
+@pytest.fixture
+def cloud_and_matrix_json(tmp_path, make_cloud):
+    """Points, their point-cloud file and the distance-matrix file of the
+    same metric."""
+    pts = make_cloud(12, 3)
+    cloud = write_json(tmp_path / "cloud.json", {"points": pts.tolist()})
+    d = euclidean_metric(pts).d
+    matrix = write_json(tmp_path / "matrix.json", {"distances": d.tolist()})
+    return pts, cloud, matrix
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called although the input needs no such check")
 
 
 @pytest.fixture
@@ -177,6 +193,27 @@ class TestEmbed:
             assert "exceeds the configured cap 2" in err
             assert "Traceback" not in err
 
+    def test_point_cap_before_cubic_work(self, tmp_path, make_cloud, monkeypatch, capsys):
+        pts = make_cloud(60, 3)
+        cloud = write_json(tmp_path / "cloud.json", {"points": pts.tolist()})
+        matrix = write_json(tmp_path / "matrix.json",
+                            {"distances": pairwise_distances(pts).tolist()})
+        monkeypatch.setattr(embedding, "MAX_POINTS", 40)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(cli, "validate_metric", refuse)
+        for path in (cloud, matrix):
+            assert main(["embed", path, "--alpha", "0.5"]) == 4
+            assert "exceeds the configured cap 40" in capsys.readouterr().err
+
+    def test_out_roundtrips_coordinates(self, cloud_and_matrix_json, tmp_path):
+        pts, cloud, _ = cloud_and_matrix_json
+        out = tmp_path / "coords.json"
+        assert main(["embed", cloud, "--alpha", "0.5", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        expected = snowflake_embed(euclidean_metric(pts), 0.5).coordinates
+        assert np.array_equal(np.asarray(json.loads(text)["points"]), expected)
+
     def test_report_roundtrips(self, collinear_json, tmp_path):
         report_path = tmp_path / "report.json"
         main(["embed", collinear_json, "--alpha", "0.5", "--json", str(report_path)])
@@ -194,6 +231,25 @@ class TestEmbed:
     def test_point_cloud_duplicates(self, tmp_path):
         cloud = write_json(tmp_path / "cloud.json", {"points": [[0.0], [0.0]]})
         assert main(["validate", cloud]) == 2
+
+
+class TestPointCloudInput:
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["negtype"],
+        ["negtype", "--alpha", "0.5", "--strict"],
+        ["embed"],
+        ["embed", "--alpha", "0.5"],
+    ])
+    def test_skips_triangle_scan(self, argv, cloud_and_matrix_json,
+                                 tmp_path, monkeypatch):
+        _, cloud, matrix = cloud_and_matrix_json
+        expected = main([argv[0], matrix, *argv[1:], "--json", str(tmp_path / "m.json")])
+        monkeypatch.setattr(cli, "validate_metric", refuse)
+        code = main([argv[0], cloud, *argv[1:], "--json", str(tmp_path / "c.json")])
+        assert code == expected == 0
+        assert (json.loads((tmp_path / "c.json").read_text())["payload"]
+                == json.loads((tmp_path / "m.json").read_text())["payload"])
 
 
 class TestSchoenberg:

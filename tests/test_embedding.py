@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,24 @@ class TestSnowflakeEmbed:
         res = snowflake_embed(X, 0.5)
         assert res.eigenvalues[res.rank - 1] > 0
 
+    def test_point_cap_checked_first(self, monkeypatch, make_cloud):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh ran before the point cap was checked")
+
+        monkeypatch.setattr(embedding_module, "MAX_POINTS", 40)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        X = euclidean_metric(make_cloud(60, 3))
+        with pytest.raises(DomainError, match="exceeds the configured cap 40"):
+            snowflake_embed(X, 0.5)
+
+    def test_large_cloud_full_rank(self, rng):
+        # the residual check of an (n, n-1) embedding at n = 1200 needs
+        # O(n^2) memory; a broadcast difference tensor alone would take 13 GiB
+        X = euclidean_metric(rng.standard_normal((1200, 3)))
+        res = snowflake_embed(X, 0.5)
+        assert res.rank == 1199
+        assert res.residual <= embedding_module.RESIDUAL_LIMIT
+
     def test_exponent_domain(self):
         X = euclidean_metric([[0.0], [1.0]])
         for bad in (0.0, 1.0, 1.5):
@@ -206,6 +226,18 @@ class TestEmbeddingResidual:
         X = validate_metric([[0, 1], [1, 0]])
         with pytest.raises(DimensionMismatch):
             embedding_residual(np.zeros((3, 1)), X)
+
+    def test_memory_is_quadratic(self, rng):
+        n = 400
+        coords = rng.standard_normal((n, n - 1))
+        X = euclidean_metric(coords)
+        tracemalloc.start()
+        try:
+            embedding_residual(coords, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n * 8  # bytes: eight n x n float64 matrices
 
     def test_random_snowflakes_tight(self, rng, make_cloud):
         for _ in range(5):

@@ -20,7 +20,41 @@ from snowflake_embed.errors import (
     NotSymmetric,
     TriangleViolation,
 )
-from snowflake_embed.metric import SnowflakeExponent
+from snowflake_embed.metric import SnowflakeExponent, pairwise_distances
+
+
+def reference_triangle_scan(d, tol):
+    """The O(n^3) loop over intermediate points that decided validate_metric
+    before its Floyd-Warshall pass test: None when the triangle inequality
+    holds up to ``tol * max(d)``, else the first (i, j, k, direct, via)."""
+    slack = tol * d.max() if d.shape[0] > 1 else 0.0
+    for k in range(d.shape[0]):
+        via = d[:, [k]] + d[[k], :]
+        viol = d > via + slack
+        if viol.any():
+            i, j = np.argwhere(viol)[0]
+            return int(i), int(j), k, float(d[i, j]), float(via[i, j])
+    return None
+
+
+def perturbed_metric(rng, n, kind, bumps, scale):
+    """A metric with many tight triangles, then ``bumps`` symmetric entries
+    scaled by a relative amount up to ``scale``."""
+    if kind == "line":  # distinct integers: d_ij = d_ik + d_kj exactly
+        d = pairwise_distances(rng.permutation(3 * n)[:n, None].astype(float))
+    elif kind == "cloud":
+        d = pairwise_distances(rng.standard_normal((n, 2)))
+    else:  # shortest-path completion: tight along many multi-hop paths
+        d = rng.uniform(0.5, 2.0, size=(n, n))
+        d = 0.5 * (d + d.T)
+        np.fill_diagonal(d, 0.0)
+        for _ in range(2):
+            for k in range(n):
+                d = np.minimum(d, d[:, [k]] + d[[k], :])
+    for _ in range(bumps):
+        i, j = rng.choice(n, size=2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] * (1.0 + rng.uniform(-1.0, 1.0) * scale)
+    return d
 
 
 class TestValidateMetric:
@@ -67,6 +101,42 @@ class TestValidateMetric:
         validate_metric(d, tol=1e-9)
         with pytest.raises(TriangleViolation):
             validate_metric(d, tol=1e-12)
+
+    def test_multi_hop_slack_accepted(self):
+        # every two-hop path is within the slack, but the three-hop path
+        # 0-1-2-3 undercuts d[0, 3] by 2s > slack: the compiled pass test
+        # rejects and the loop over intermediate points must still accept
+        tol = 1e-3
+        s = 0.75 * tol * 3.0
+        d = np.array([
+            [0, 1, 2 + s, 3 + 2 * s],
+            [1, 0, 1, 2 + s],
+            [2 + s, 1, 0, 1],
+            [3 + 2 * s, 2 + s, 1, 0],
+        ])
+        assert reference_triangle_scan(d, tol) is None
+        assert d[0, 3] > 3.0 + tol * d.max()
+        validate_metric(d, tol=tol)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        kind=st.sampled_from(["line", "cloud", "paths"]),
+        bumps=st.integers(0, 3),
+        scale=st.sampled_from([1e-13, 1e-11, 1e-9, 1e-6, 0.1]),
+        tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_triangle_verdict_matches_reference(self, seed, n, kind, bumps, scale, tol):
+        d = perturbed_metric(np.random.default_rng(seed), n, kind, bumps, scale)
+        expected = reference_triangle_scan(d, tol)
+        if expected is None:
+            assert np.array_equal(validate_metric(d, tol=tol).d, d)
+        else:
+            with pytest.raises(TriangleViolation) as exc:
+                validate_metric(d, tol=tol)
+            v = exc.value
+            assert (v.i, v.j, v.k, v.direct, v.via) == expected
 
     def test_result_is_readonly(self):
         X = validate_metric([[0, 1], [1, 0]])
@@ -156,6 +226,22 @@ class TestEuclideanMetric:
     def test_rejects_nonfinite(self):
         with pytest.raises(MetricValidationError):
             point_cloud([[np.inf, 0.0]])
+        # finite coordinates whose distance overflows
+        with pytest.raises(MetricValidationError):
+            euclidean_metric([[0.0], [1e200]])
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 1), (40, 3), (60, 7), (50, 49)])
+    def test_symmetric_and_matches_broadcast(self, rng, n, m):
+        coords = rng.standard_normal((n, m))
+        d = pairwise_distances(coords)
+        assert d.shape == (n, n)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diagonal(d), np.zeros(n))
+        diff = coords[:, None, :] - coords[None, :, :]
+        reference = np.sqrt((diff * diff).sum(axis=-1))
+        assert (np.abs(d - reference) <= 1e-15 * reference).all()
 
 
 class TestSquaredDistanceMatrix:
