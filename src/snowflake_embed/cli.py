@@ -22,6 +22,7 @@ from .embedding import RESIDUAL_LIMIT, check_point_count, embed, snowflake_embed
 from .errors import (
     DimensionMismatch,
     DomainError,
+    DuplicatePoints,
     MetricValidationError,
     NotEmbeddable,
     NotStrict,
@@ -29,8 +30,9 @@ from .errors import (
     TheoremViolation,
 )
 from .groups import IDENTIFICATION_TOL, OrthogonalAction, close_group
-from .metric import FiniteMetricSpace, euclidean_metric, snowflake, validate_metric
-from .negative_type import DEFAULT_TOL, check_negative_type, check_strict_negative_type
+from .metric import euclidean_metric, snowflake, validate_metric
+from .negative_type import (DEFAULT_TOL, check_negative_type, check_strict_negative_type,
+                            spectral_threshold)
 from .quotient import lift_orbits, qng_embed
 from .schoenberg import (
     QuadratureSpec,
@@ -100,18 +102,17 @@ def _json_number(path: Path, field: str, value, kind):
         raise InputError(f"{path}: field {field!r} must be a number, got {value!r}")
 
 
-def _load_metric_matrix(path: Path) -> np.ndarray | FiniteMetricSpace:
-    """Distance matrix from a metric file, or the Euclidean metric space of a
-    point-cloud JSON ({"points": [[...]]}), which needs no validation."""
+def _load_metric_matrix(path: Path) -> tuple[np.ndarray, bool]:
+    """The distance matrix of a metric file, or the points (one per row) of a
+    point-cloud JSON ({"points": [[...]]}), and whether it is a cloud."""
     if path.suffix.lower() == ".json":
         obj = _load_json(path)
         if isinstance(obj, dict) and "points" in obj and "distances" not in obj:
             try:
-                cloud = np.asarray(obj["points"], dtype=float)
-                return euclidean_metric(cloud)
+                return np.atleast_2d(np.asarray(obj["points"], dtype=float)), True
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{path}: {exc}")
-    return _load_table(path, "distances")
+    return _load_table(path, "distances"), False
 
 
 def _load_action(path: Path) -> OrthogonalAction:
@@ -206,18 +207,15 @@ def _write_points(path: str, body: dict) -> None:
 # commands
 
 
-def _validated(args, command: str, inputs: dict, matrix, payload: dict,
+def _validated(args, command: str, inputs: dict, loaded, payload: dict,
                tolerances: dict, label: str):
-    """The validated metric, or None after emitting the failure report.
-
-    A point cloud's space is a metric by construction and passes through
-    without the O(n^3) triangle scan; distance matrices are checked in full.
-    """
-    if isinstance(matrix, FiniteMetricSpace):
-        return matrix
+    """The metric of a ``_load_metric_matrix`` result, or None after emitting
+    the failure report.  A point cloud becomes its Euclidean metric, a metric
+    by construction, without the O(n^3) triangle scan."""
+    matrix, cloud = loaded
     try:
-        return validate_metric(matrix, tol=args.tol)
-    except (MetricValidationError, DimensionMismatch) as exc:
+        return euclidean_metric(matrix) if cloud else validate_metric(matrix, tol=args.tol)
+    except (MetricValidationError, DimensionMismatch, DuplicatePoints) as exc:
         _emit(args, command, inputs, False,
               {**payload, "violation": _error_payload(exc)}, tolerances,
               [f"{label}{exc}"])
@@ -227,8 +225,7 @@ def _validated(args, command: str, inputs: dict, matrix, payload: dict,
 def _cmd_validate(args) -> int:
     path = Path(args.metric)
     inputs = {"metric": _digest(path)}
-    matrix = _load_metric_matrix(path)
-    space = _validated(args, "validate", inputs, matrix, {"valid": False},
+    space = _validated(args, "validate", inputs, _load_metric_matrix(path), {"valid": False},
                        {"triangle_tol": args.tol}, "INVALID: ")
     if space is None:
         return EXIT_PROPERTY
@@ -242,11 +239,10 @@ def _cmd_validate(args) -> int:
 def _cmd_negtype(args) -> int:
     path = Path(args.metric)
     inputs = {"metric": _digest(path)}
-    matrix = _load_metric_matrix(path)
     tolerances = {"spectral_tol": args.tol, "triangle_tol": args.tol}
     payload = {"alpha": args.alpha, "strict": args.strict}
 
-    X = _validated(args, "negtype", inputs, matrix, payload, tolerances,
+    X = _validated(args, "negtype", inputs, _load_metric_matrix(path), payload, tolerances,
                    "FAIL: input is not a metric: ")
     if X is None:
         return EXIT_PROPERTY
@@ -260,16 +256,14 @@ def _cmd_negtype(args) -> int:
     except NotStrict as exc:
         payload.update({
             "failure": _error_payload(exc),
-            "is_negative_type": check_negative_type(X, tol=args.tol).is_negative_type,
+            # only the hypothesis check (is X of negative type?) raises first
+            "is_negative_type": exc.reason != "input metric is not of negative type",
             "is_strict": False,
             "min_eigenvalue": _judged(exc.min_eigenvalue, args.tol),
             "witness": _jsonable(exc.witness),
         })
         _emit(args, "negtype", inputs, False, payload, tolerances, [f"FAIL: {exc}"])
         return EXIT_PROPERTY
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
     ok = report.is_strict if args.strict else report.is_negative_type
     payload.update({
@@ -289,7 +283,7 @@ def _cmd_negtype(args) -> int:
 def _cmd_embed(args) -> int:
     path = Path(args.metric)
     inputs = {"metric": _digest(path)}
-    matrix = _load_metric_matrix(path)
+    loaded = _load_metric_matrix(path)
     tolerances = {
         "spectral_tol": args.tol,
         "triangle_tol": args.tol,
@@ -298,9 +292,9 @@ def _cmd_embed(args) -> int:
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
         print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
         return EXIT_USAGE
-    check_point_count(matrix.n if isinstance(matrix, FiniteMetricSpace) else len(matrix))
+    check_point_count(len(loaded[0]))
 
-    X = _validated(args, "embed", inputs, matrix, {}, tolerances,
+    X = _validated(args, "embed", inputs, loaded, {}, tolerances,
                    "FAIL: input is not a metric: ")
     if X is None:
         return EXIT_PROPERTY
@@ -417,12 +411,12 @@ def _cmd_quotient_embed(args) -> int:
         return EXIT_PROPERTY
 
     spectrum = result.spectrum
-    zero_count = int(np.sum(spectrum <= args.tol * max(float(spectrum[0]), 0.0)))
+    zero_count = int(np.sum(spectrum <= spectral_threshold(spectrum, args.tol)))
     payload.update({
         "group_order": action.group.order,
         "n_orbits": config.n_orbits,
         "lifted_points": config.size,
-        "max_abs_error": _judged(result.max_abs_error, args.tol * 2.0),
+        "max_abs_error": _judged(result.max_abs_error, result.verification_tol),
         "equivariance_defect": _judged(result.equivariance_defect, args.tol),
         "spectrum": _jsonable(spectrum),
         "zero_eigenvalues": zero_count,
@@ -451,6 +445,14 @@ def _cmd_quotient_embed(args) -> int:
 # wiring
 
 
+def _tolerance(text: str) -> float:
+    """Type of --tol: one relative tolerance, a number in [0, 1)."""
+    tol = float(text)
+    if not 0.0 <= tol < 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return tol
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="snowflake-embed",
                      description="snowflake metrics: certificates and embeddings")
@@ -458,8 +460,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="relative spectral/validation tolerance")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                       help="relative tolerance in [0, 1): triangle slack and spectral threshold")
         p.add_argument("--json", metavar="FILE",
                        help="write the machine-readable report to FILE")
 

@@ -16,19 +16,8 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import DimensionMismatch, DomainError, NotEmbeddable, TheoremViolation
-from .metric import (
-    FiniteMetricSpace,
-    SnowflakeExponent,
-    exponent_value,
-    snowflake,
-    squared_distance_matrix,
-)
-from .negative_type import (
-    DEFAULT_TOL,
-    centered_spectrum,
-    check_negative_type,
-    gram_from_distances,
-)
+from .metric import FiniteMetricSpace, SnowflakeExponent, exponent_value, snowflake
+from .negative_type import DEFAULT_TOL, check_negative_type, spectral_decision
 
 #: Largest admissible relative distance-reconstruction error.
 RESIDUAL_LIMIT = 1e-8
@@ -63,20 +52,17 @@ def check_point_count(n: int) -> None:
 def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     """Isometrically embed X into Euclidean space, if possible.
 
-    Eigenpairs of the centered form with eigenvalue > tol * lam_max are
-    kept; any eigenvalue below -tol * lam_max makes the metric
-    non-embeddable and the corresponding sum-zero eigenvector is returned
-    as a negative-type violator.  The reconstruction residual is verified
-    against RESIDUAL_LIMIT.
+    ``spectral_decision`` decides: a metric not of negative type raises
+    NotEmbeddable with the eigenvector of the most negative eigenvalue as
+    the violating weight vector, and the eigenpairs it keeps give the
+    coordinates.  The reconstruction residual is verified against
+    RESIDUAL_LIMIT.
     """
     check_point_count(X.n)
-    mu, U = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
-    mu, U = mu[::-1], U[:, ::-1]
-
-    lam_max = max(float(mu[0]), 0.0) if mu.size else 0.0
-    if mu.size and mu[-1] < -tol * lam_max:
-        raise NotEmbeddable(mu[-1], witness=U[:, -1])
-    keep = mu > tol * lam_max
+    report, mu, U, keep = spectral_decision(X, tol)
+    if not report.is_negative_type:
+        raise NotEmbeddable(report.min_eigenvalue, witness=report.witness)
+    mu, U, keep = mu[::-1], U[:, ::-1], keep[::-1]
     coords = U[:, keep] * np.sqrt(mu[keep])
     coords.flags.writeable = False
     mu.flags.writeable = False
@@ -91,7 +77,7 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
         # below the configuration scale that double precision cannot
         # certify them to the relative limit
         raise NotEmbeddable(
-            float(mu[-1]) if mu.size else 0.0,
+            report.min_eigenvalue,
             reason=(
                 f"reconstruction residual {result.residual:.3e} exceeds "
                 f"{RESIDUAL_LIMIT:.0e}"
@@ -126,6 +112,7 @@ def snowflake_embed(
             reason="input metric is not of negative type",
         )
     result = embed(snowflake(X, alpha), tol)
+    # rank n-1 is the strictness verdict of embed's spectral decision
     if result.rank < X.n - 1:
         raise TheoremViolation(result.rank, X.n - 1, result.eigenvalues)
     return result

@@ -196,8 +196,13 @@ def close_group(
         table[i] = _identify(stack, stack[i] @ stack, tol)
         if table[i].min() < 0:
             raise NumericalAmbiguity(np.inf, tol)
-    group = FiniteGroup.from_table(table)
-    return OrthogonalAction(group=group, dim=m, matrices=stack)
+    try:
+        return OrthogonalAction(group=FiniteGroup.from_table(table), dim=m, matrices=stack)
+    except ValueError as exc:
+        # a tol looser than HOMOMORPHISM_TOL can match a product to an element it
+        # does not equal, so the table is no group or the matrices break it
+        worst = max(np.abs(stack[table[i]] - stack[i] @ stack).max() for i in range(order))
+        raise NumericalAmbiguity(worst, tol) from exc
 
 
 def trivial_action(dim: int) -> OrthogonalAction:

@@ -23,8 +23,9 @@ from .errors import (
     TriangleViolation,
 )
 
-#: Additive triangle-inequality slack, as a fraction of the largest distance.
-DEFAULT_VALIDATION_TOL = 1e-9
+#: The relative tolerance of every verdict: triangle slack as a fraction of the
+#: largest distance, spectral threshold as one of the spectral radius.
+DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def _frozen_metric(d: np.ndarray) -> FiniteMetricSpace:
     return FiniteMetricSpace(n=d.shape[0], d=d)
 
 
-def validate_metric(matrix, tol: float = DEFAULT_VALIDATION_TOL) -> FiniteMetricSpace:
+def validate_metric(matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
     """Check the metric axioms and return the validated space.
 
     Symmetry and the zero diagonal must hold exactly as stored; the triangle

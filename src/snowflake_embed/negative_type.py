@@ -10,12 +10,13 @@ subspace, so we diagonalize that restriction instead of searching over L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BadPartition, DimensionMismatch, DomainError, NotStrict
 from .metric import (
+    DEFAULT_TOL,
     FiniteMetricSpace,
     SnowflakeExponent,
     as_point_cloud,
@@ -25,9 +26,6 @@ from .metric import (
     snowflake,
     squared_distance_matrix,
 )
-
-#: Relative spectral tolerance for negative-type and general-position decisions.
-DEFAULT_TOL = 1e-9
 
 #: Absolute tolerance on weight-vector sum constraints.
 WEIGHT_SUM_TOL = 1e-12
@@ -121,25 +119,36 @@ def quadratic_form(D, lam) -> float:
     return float(lam @ D @ lam)
 
 
-def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> NegativeTypeReport:
-    """Decide whether X is of negative type (equivalently, embeddable).
+def spectral_threshold(evals, tol: float = DEFAULT_TOL) -> float:
+    """``tol`` times the spectral radius: the one threshold of every spectral
+    verdict.  An eigenvalue above it is positive, one below its negative is
+    negative, and one in between counts as zero."""
+    if not 0.0 <= tol < 1.0:
+        raise DomainError(f"spectral tolerance must lie in [0, 1), got {tol!r}")
+    return tol * float(np.abs(evals).max(initial=0.0))
 
-    Thresholds are relative to the spectral radius of the restricted
-    centered form.  When violated, the witness is the eigenvector of the
-    most negative eigenvalue; when merely degenerate (not strict), it is
-    the eigenvector of the near-zero eigenvalue.
+
+def spectral_decision(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
+    """The one spectral decision on X, from -1/2 P D P on the sum-zero subspace.
+
+    X is of negative type when no eigenvalue lies below minus
+    ``spectral_threshold``, strictly so when all lie above it, and the
+    eigenpairs above it are kept.  Unless strict, the witness is the
+    eigenvector of the smallest eigenvalue.  Returns the report, the ascending
+    eigenvalues, the (n, n-1) sum-zero eigenvectors and the kept mask.
     """
     evals, vecs = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
-    if evals.size == 0:
-        return NegativeTypeReport(True, True, np.inf, None)
-    scale = float(max(abs(evals[0]), abs(evals[-1])))
-    if scale == 0.0:
-        scale = 1.0
-    min_eig = float(evals[0])
-    is_negative = min_eig >= -tol * scale
-    is_strict = min_eig > tol * scale
-    witness = None if is_strict else vecs[:, 0]
-    return NegativeTypeReport(is_negative, is_strict, min_eig, witness)
+    threshold = spectral_threshold(evals, tol)
+    min_eig = float(evals.min(initial=np.inf))
+    strict = min_eig > threshold
+    report = NegativeTypeReport(min_eig >= -threshold, strict, min_eig,
+                                None if strict else vecs[:, 0])
+    return report, evals, vecs, evals > threshold
+
+
+def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> NegativeTypeReport:
+    """Whether X is of negative type (equivalently, embeddable), with witness."""
+    return spectral_decision(X, tol)[0]
 
 
 def check_strict_negative_type(
@@ -214,13 +223,5 @@ def general_position_certificate(P, tol: float = DEFAULT_TOL) -> NegativeTypeRep
     centered form.  A degenerate configuration yields a nonzero sum-zero
     witness - an affine dependence certificate.
     """
-    cloud = as_point_cloud(P)
-    D = squared_distance_matrix(euclidean_metric(cloud))
-    evals, vecs = centered_spectrum(gram_from_distances(D))
-    if evals.size == 0:
-        return NegativeTypeReport(True, True, np.inf, None)
-    lam_max = float(evals[-1])
-    min_eig = float(evals[0])
-    general = bool(min_eig > tol * lam_max)
-    witness = None if general else vecs[:, 0]
-    return NegativeTypeReport(True, general, min_eig, witness)
+    # a Euclidean metric is of negative type by construction
+    return replace(check_negative_type(euclidean_metric(P), tol), is_negative_type=True)

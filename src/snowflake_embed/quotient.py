@@ -88,7 +88,8 @@ class QngEmbedding:
     regular permutation); ``spectrum`` is the nonincreasing spectrum of the
     induced form, which has exactly one zero eigenvalue for free
     configurations and alpha < 1.  That trivial eigenvalue, along the
-    all-ones vector, is reported as exactly 0.0.
+    all-ones vector, is reported as exactly 0.0.  ``max_abs_error`` was
+    judged against ``verification_tol`` = tol * (1 + largest target).
     """
 
     points: np.ndarray
@@ -97,6 +98,7 @@ class QngEmbedding:
     spectrum: np.ndarray
     equivariance_defect: float
     max_abs_error: float
+    verification_tol: float
     scale_note: str = SCALE_NOTE
 
 
@@ -250,4 +252,5 @@ def qng_embed(
         spectrum=spectrum,
         equivariance_defect=defect_T,
         max_abs_error=max_err,
+        verification_tol=verify_tol,
     )

@@ -99,6 +99,29 @@ class TestValidate:
         assert report["payload"]["violation"]["error"] == "DimensionMismatch"
 
 
+class TestToleranceOption:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "2", "inf", "1"])
+    @pytest.mark.parametrize("command", ["validate", "negtype", "embed", "quotient-embed"])
+    def test_tolerance_outside_unit_interval_is_usage_error(self, command, tol, tmp_path,
+                                                            c2_group_json, capsys):
+        if command == "quotient-embed":
+            reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
+            files = [c2_group_json, reps]
+        else:
+            # triangle-violating: `validate --tol nan` once accepted it
+            files = [write_json(tmp_path / "bad.json",
+                                {"distances": [[0, 1, 5], [1, 0, 1], [5, 1, 0]]})]
+        report_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *files, "--tol", tol, "--json", str(report_path)])
+        assert exc.value.code == 4
+        assert not report_path.exists()
+        assert "--tol: must lie in [0, 1)" in capsys.readouterr().err
+
+    def test_tolerance_zero_accepted(self, collinear_json):
+        assert main(["validate", collinear_json, "--tol", "0"]) == 0
+
+
 class TestNegtype:
     def test_claw_rejected_with_witness(self, claw_json, tmp_path):
         report_path = tmp_path / "report.json"
@@ -149,6 +172,24 @@ class TestNegtype:
 
     def test_alpha_out_of_range(self, collinear_json):
         assert main(["negtype", collinear_json, "--alpha", "1.5"]) == 4
+
+    def test_strict_failure_decides_each_metric_once(self, claw_json, collinear_json,
+                                                      monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        # the hypothesis fails: X alone is decided
+        assert main(["negtype", claw_json, "--alpha", "0.5", "--strict"]) == 2
+        assert len(calls) == 1
+        calls.clear()
+        # the margin fails: X, then X**alpha
+        assert main(["negtype", collinear_json, "--alpha", "1", "--strict"]) == 2
+        assert len(calls) == 2
 
 
 class TestEmbed:
@@ -251,6 +292,17 @@ class TestPointCloudInput:
         assert (json.loads((tmp_path / "c.json").read_text())["payload"]
                 == json.loads((tmp_path / "m.json").read_text())["payload"])
 
+    @pytest.mark.parametrize("command", ["validate", "negtype", "embed"])
+    def test_coincident_points_reported(self, command, tmp_path):
+        cloud = write_json(tmp_path / "cloud.json", {"points": [[0], [0], [1]]})
+        report_path = tmp_path / "report.json"
+        assert main([command, cloud, "--json", str(report_path)]) == 2
+        report = json.loads(report_path.read_text())
+        assert report["outcome"] == "fail"
+        violation = report["payload"]["violation"]
+        assert violation["error"] == "DuplicatePoints"
+        assert violation["pairs"] == [[0, 1]]
+
 
 class TestSchoenberg:
     def test_normalization_grid_point(self, capsys):
@@ -289,11 +341,24 @@ class TestQuotientEmbed:
         report = json.loads(report_path.read_text())
         assert report["payload"]["max_abs_error"]["value"] <= 1e-9
         assert report["payload"]["zero_eigenvalues"] == 1
+        # judged against tol * (1 + largest target), the tolerance qng_embed applied
+        judged = report["payload"]["max_abs_error"]
+        largest = max(row["target"] for row in report["payload"]["report"])
+        assert judged["value"] <= judged["tolerance"] == 1e-9 * (1.0 + largest)
         body = json.loads(out.read_text())
         assert set(body) == {"points", "report", "scale_note"}
         row = body["report"][0]
         assert row["target"] == pytest.approx(1.0)
         assert abs(row["abs_error"]) <= 1e-9
+
+    def test_error_tolerance_follows_the_targets(self, c2_group_json, tmp_path):
+        # one pair at quotient distance 4: target 4**0.5 = 2, tolerance 3 tol
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [5.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", c2_group_json, reps, "--tol", "1e-8",
+                     "--json", str(report_path)]) == 0
+        judged = json.loads(report_path.read_text())["payload"]["max_abs_error"]
+        assert judged["tolerance"] == 1e-8 * (1.0 + 2.0)
 
     def test_fixed_point_rep_fails(self, c2_group_json, tmp_path):
         reps = write_json(tmp_path / "reps.json", {"representatives": [[0.0]]})
@@ -345,6 +410,21 @@ class TestQuotientEmbed:
         path = write_json(tmp_path / "group.json", group)
         reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
         assert main(["quotient-embed", path, reps]) == 3
+
+    def test_loosely_closing_group_fails_with_report(self, tmp_path, capsys):
+        # C5 through a rounded angle closes within tolerance 1e-3, but its
+        # products miss the identified elements by more than the action allows
+        theta = round(2 * np.pi / 5, 4)
+        c, s = np.cos(theta), np.sin(theta)
+        group = write_json(tmp_path / "c5.json",
+                           {"dim": 2, "generators": [[[c, -s], [s, c]]], "tolerance": 1e-3})
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0, 0.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", group, reps, "--json", str(report_path)]) == 2
+        failure = json.loads(report_path.read_text())["payload"]["failure"]
+        assert failure["error"] == "NumericalAmbiguity"
+        assert 0.0 < failure["distance"] <= failure["tol"] == 1e-3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_csv_reps_accepted(self, c2_group_json, tmp_path):
         reps = tmp_path / "reps.csv"

@@ -102,6 +102,16 @@ class TestCloseGroup:
         for mat in action.matrices:
             assert np.abs(mat.T @ mat - eye).max() < 1e-14
 
+    def test_loose_tolerance_table_is_ambiguity(self):
+        from snowflake_embed.errors import NumericalAmbiguity
+
+        # five rotations through a rounded 2 pi / 5 close within 1e-3, but
+        # the products miss the identified matrices by about 2e-4, more than
+        # HOMOMORPHISM_TOL allows
+        with pytest.raises(NumericalAmbiguity) as exc:
+            close_group([rot2(round(2 * np.pi / 5, 4))], tol=1e-3)
+        assert 1e-9 < exc.value.distance <= 1e-3
+
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             close_group([])
