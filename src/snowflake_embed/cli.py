@@ -13,26 +13,18 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .embedding import RESIDUAL_LIMIT, check_point_count, embed, snowflake_embed
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    DuplicatePoints,
-    MetricValidationError,
-    NotEmbeddable,
-    NotStrict,
-    SnowflakeError,
-    TheoremViolation,
-)
+from .errors import DomainError, NotStrict, SnowflakeError
 from .groups import IDENTIFICATION_TOL, OrthogonalAction, close_group
 from .metric import euclidean_metric, snowflake, validate_metric
-from .negative_type import (DEFAULT_TOL, check_negative_type, check_strict_negative_type,
-                            spectral_threshold)
+from .negative_type import (DEFAULT_TOL, HYPOTHESIS_FAILS, check_negative_type,
+                            check_strict_negative_type, spectral_threshold)
 from .quotient import lift_orbits, qng_embed
 from .schoenberg import (
     QuadratureSpec,
@@ -163,6 +155,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if is_dataclass(value):  # such as the PairCheck rows of a VerificationFailure
+        return _jsonable(asdict(value))
     return value
 
 
@@ -176,23 +170,44 @@ def _judged(value: float, tolerance: float) -> dict:
     return {"value": _jsonable(value), "tolerance": _jsonable(tolerance)}
 
 
-def _emit(args, command: str, inputs: dict, outcome: bool, payload: dict,
-          tolerances: dict, summary: list[str]) -> None:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "outcome": "pass" if outcome else "fail",
-        "payload": _jsonable(payload),
-        "tolerances": _jsonable(tolerances),
-    }
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="utf-8") as fh:
+@dataclass
+class _Report:
+    """The one report of a command run.  The command fills it and returns its
+    outcome; ``fail`` records the SnowflakeError that ends a command under
+    ``failure`` (``violation`` while the metric is being validated)."""
+
+    command: str
+    inputs: dict = field(default_factory=dict)
+    payload: dict = field(default_factory=dict)
+    tolerances: dict = field(default_factory=dict)
+    summary: list = field(default_factory=list)
+    failure: tuple = ("failure", "FAIL: ")  # payload key and summary prefix
+
+    def fail(self, exc: SnowflakeError) -> None:
+        key, label = self.failure
+        self.payload[key] = _error_payload(exc)
+        if isinstance(exc, NotStrict):
+            # the verdict the strict check ended on: of X, or of X**alpha
+            self.payload.update(
+                is_negative_type=exc.reason != HYPOTHESIS_FAILS,
+                is_strict=False,
+                min_eigenvalue=_judged(exc.min_eigenvalue, exc.threshold),
+                witness=exc.witness,
+            )
+        self.summary = [f"{label}{exc}"]
+
+    def write(self, path: str | None, outcome: bool) -> None:
+        if not path:
+            for line in self.summary:
+                print(line)
+            return
+        report = {"command": self.command, "inputs": self.inputs,
+                  "outcome": "pass" if outcome else "fail",
+                  "payload": _jsonable(self.payload), "tolerances": _jsonable(self.tolerances)}
+        with open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-        print(f"report: {args.json}")
-    else:
-        for line in summary:
-            print(line)
+        print(f"report: {path}")
 
 
 def _write_points(path: str, body: dict) -> None:
@@ -207,223 +222,158 @@ def _write_points(path: str, body: dict) -> None:
 # commands
 
 
-def _validated(args, command: str, inputs: dict, loaded, payload: dict,
-               tolerances: dict, label: str):
-    """The metric of a ``_load_metric_matrix`` result, or None after emitting
-    the failure report.  A point cloud becomes its Euclidean metric, a metric
-    by construction, without the O(n^3) triangle scan."""
+def _metric_input(args, report: _Report) -> tuple[np.ndarray, bool]:
+    path = Path(args.metric)
+    report.inputs["metric"] = _digest(path)
+    return _load_metric_matrix(path)
+
+
+def _validated(args, report: _Report, loaded, label: str):
+    """The metric of a ``_load_metric_matrix`` result; an error on the way is
+    the report's violation.  A point cloud becomes its Euclidean metric, a
+    metric by construction, without the O(n^3) triangle scan."""
     matrix, cloud = loaded
-    try:
-        return euclidean_metric(matrix) if cloud else validate_metric(matrix, tol=args.tol)
-    except (MetricValidationError, DimensionMismatch, DuplicatePoints) as exc:
-        _emit(args, command, inputs, False,
-              {**payload, "violation": _error_payload(exc)}, tolerances,
-              [f"{label}{exc}"])
-        return None
+    report.failure = ("violation", label)
+    X = euclidean_metric(matrix) if cloud else validate_metric(matrix, tol=args.tol)
+    report.failure = ("failure", "FAIL: ")
+    return X
 
 
-def _cmd_validate(args) -> int:
-    path = Path(args.metric)
-    inputs = {"metric": _digest(path)}
-    space = _validated(args, "validate", inputs, _load_metric_matrix(path), {"valid": False},
-                       {"triangle_tol": args.tol}, "INVALID: ")
-    if space is None:
-        return EXIT_PROPERTY
-    _emit(args, "validate", inputs, True,
-          {"valid": True, "n": space.n},
-          {"triangle_tol": args.tol},
-          [f"valid metric on {space.n} points"])
-    return EXIT_PASS
+def _cmd_validate(args, report: _Report) -> bool:
+    report.tolerances["triangle_tol"] = args.tol
+    report.payload["valid"] = False
+    X = _validated(args, report, _metric_input(args, report), "INVALID: ")
+    report.payload.update(valid=True, n=X.n)
+    report.summary = [f"valid metric on {X.n} points"]
+    return True
 
 
-def _cmd_negtype(args) -> int:
-    path = Path(args.metric)
-    inputs = {"metric": _digest(path)}
-    tolerances = {"spectral_tol": args.tol, "triangle_tol": args.tol}
-    payload = {"alpha": args.alpha, "strict": args.strict}
+def _cmd_negtype(args, report: _Report) -> bool:
+    report.tolerances.update(spectral_tol=args.tol, triangle_tol=args.tol)
+    report.payload.update(alpha=args.alpha, strict=args.strict)
+    X = _validated(args, report, _metric_input(args, report), "FAIL: input is not a metric: ")
 
-    X = _validated(args, "negtype", inputs, _load_metric_matrix(path), payload, tolerances,
-                   "FAIL: input is not a metric: ")
-    if X is None:
-        return EXIT_PROPERTY
-
-    try:
-        if args.strict and args.alpha is not None:
-            report = check_strict_negative_type(X, args.alpha, tol=args.tol)
-        else:
-            Y = snowflake(X, args.alpha) if args.alpha is not None else X
-            report = check_negative_type(Y, tol=args.tol)
-    except NotStrict as exc:
-        payload.update({
-            "failure": _error_payload(exc),
-            # only the hypothesis check (is X of negative type?) raises first
-            "is_negative_type": exc.reason != "input metric is not of negative type",
-            "is_strict": False,
-            "min_eigenvalue": _judged(exc.min_eigenvalue, args.tol),
-            "witness": _jsonable(exc.witness),
-        })
-        _emit(args, "negtype", inputs, False, payload, tolerances, [f"FAIL: {exc}"])
-        return EXIT_PROPERTY
-
-    ok = report.is_strict if args.strict else report.is_negative_type
-    payload.update({
-        "is_negative_type": report.is_negative_type,
-        "is_strict": report.is_strict,
-        "embeddable": report.embeddable,
-        "min_eigenvalue": _judged(report.min_eigenvalue, args.tol),
-        "witness": _jsonable(report.witness),
-    })
-    verdict = "holds" if ok else "FAILS"
+    if args.strict and args.alpha is not None:
+        verdict = check_strict_negative_type(X, args.alpha, tol=args.tol)
+    else:
+        Y = snowflake(X, args.alpha) if args.alpha is not None else X
+        verdict = check_negative_type(Y, tol=args.tol)
+    ok = verdict.is_strict if args.strict else verdict.is_negative_type
+    report.payload.update(
+        is_negative_type=verdict.is_negative_type,
+        is_strict=verdict.is_strict,
+        embeddable=verdict.embeddable,
+        min_eigenvalue=_judged(verdict.min_eigenvalue, verdict.threshold),
+        witness=verdict.witness,
+    )
     label = "strict negative type" if args.strict else "negative type"
-    _emit(args, "negtype", inputs, ok, payload, tolerances,
-          [f"{label} {verdict} (min eigenvalue {report.min_eigenvalue:.6g})"])
-    return EXIT_PASS if ok else EXIT_PROPERTY
+    report.summary = [f"{label} {'holds' if ok else 'FAILS'} "
+                      f"(min eigenvalue {verdict.min_eigenvalue:.6g})"]
+    return ok
 
 
-def _cmd_embed(args) -> int:
-    path = Path(args.metric)
-    inputs = {"metric": _digest(path)}
-    loaded = _load_metric_matrix(path)
-    tolerances = {
-        "spectral_tol": args.tol,
-        "triangle_tol": args.tol,
-        "residual_limit": RESIDUAL_LIMIT,
-    }
+def _cmd_embed(args, report: _Report) -> bool:
+    loaded = _metric_input(args, report)
+    report.tolerances.update(spectral_tol=args.tol, triangle_tol=args.tol,
+                             residual_limit=RESIDUAL_LIMIT)
     if args.alpha is not None and not 0.0 <= args.alpha <= 1.0:
-        print(f"error: --alpha must lie in [0, 1], got {args.alpha}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"--alpha must lie in [0, 1], got {args.alpha}")
     check_point_count(len(loaded[0]))
-
-    X = _validated(args, "embed", inputs, loaded, {}, tolerances,
-                   "FAIL: input is not a metric: ")
-    if X is None:
-        return EXIT_PROPERTY
+    X = _validated(args, report, loaded, "FAIL: input is not a metric: ")
 
     theorem_applies = args.alpha is not None and 0.0 < args.alpha < 1.0
-    payload = {"n": X.n, "alpha": args.alpha}
-    try:
-        if theorem_applies:
-            result = snowflake_embed(X, args.alpha, tol=args.tol)
-        else:
-            Y = snowflake(X, args.alpha) if args.alpha is not None else X
-            result = embed(Y, tol=args.tol)
-    except (NotEmbeddable, TheoremViolation) as exc:
-        payload["failure"] = _error_payload(exc)
-        _emit(args, "embed", inputs, False, payload, tolerances, [f"FAIL: {exc}"])
-        return EXIT_PROPERTY
+    report.payload.update(n=X.n, alpha=args.alpha)
+    if theorem_applies:
+        result = snowflake_embed(X, args.alpha, tol=args.tol)
+    else:
+        result = embed(snowflake(X, args.alpha) if args.alpha is not None else X, tol=args.tol)
 
     full_rank = result.rank == X.n - 1
-    payload.update({
-        "rank": result.rank,
-        "full_rank": full_rank,
-        "eigenvalues": _jsonable(result.eigenvalues),
-        "residual": _judged(result.residual, RESIDUAL_LIMIT),
-    })
-    summary = [f"embedded {X.n} points with rank {result.rank}, residual {result.residual:.3g}"]
+    report.payload.update(
+        rank=result.rank,
+        full_rank=full_rank,
+        eigenvalues=result.eigenvalues,
+        residual=_judged(result.residual, RESIDUAL_LIMIT),
+    )
+    report.summary = [f"embedded {X.n} points with rank {result.rank}, "
+                      f"residual {result.residual:.3g}"]
     if not full_rank and not theorem_applies:
-        payload["note"] = (
+        report.payload["note"] = (
             "rank below n-1; the full-rank guarantee applies only to "
             "snowflake exponents strictly between 0 and 1"
         )
-        summary.append(payload["note"])
+        report.summary.append(report.payload["note"])
     if args.out:
         _write_points(args.out, {"points": result.coordinates})
-        summary.append(f"coordinates: {args.out}")
-    _emit(args, "embed", inputs, True, payload, tolerances, summary)
-    return EXIT_PASS
+        report.summary.append(f"coordinates: {args.out}")
+    return True
 
 
-def _cmd_schoenberg(args) -> int:
+def _cmd_schoenberg(args, report: _Report) -> bool:
     a = args.alpha
     if not 0.0 < a < 1.0:
-        print(
-            f"error: --alpha must lie strictly between 0 and 1 "
-            f"(it is the half-power a = alpha/2 of the verified identity), got {a}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise DomainError(f"--alpha must lie strictly between 0 and 1 (it is the half-power "
+                          f"a = alpha/2 of the verified identity), got {a}")
     try:
         t_grid = [float(t) for t in args.t_grid.split(",") if t.strip()]
     except ValueError:
-        print(f"error: cannot parse --t-grid {args.t_grid!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"cannot parse --t-grid {args.t_grid!r}") from None
     if not t_grid or any(t <= 0.0 for t in t_grid):
-        print("error: --t-grid entries must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("--t-grid entries must be positive")
 
     spec = QuadratureSpec()
-    tolerances = {
-        "rel_err_limit": args.quad_tol,
-        "quadrature_rel_tol": spec.rel_tol,
-        "quadrature_abs_tol": spec.abs_tol,
-        "max_subdivisions": spec.max_subdivisions,
-    }
+    report.tolerances.update(rel_err_limit=args.quad_tol, quadrature_rel_tol=spec.rel_tol,
+                             quadrature_abs_tol=spec.abs_tol,
+                             max_subdivisions=spec.max_subdivisions)
     c_closed = schoenberg_constant(a)
     c_quad = schoenberg_constant_quadrature(a, spec)
-    c_rel = abs(c_closed - c_quad) / c_closed
-    per_t = []
-    worst = c_rel
+    rel_errs = [abs(c_closed - c_quad) / c_closed]
+    report.payload.update(a=a, power=2.0 * a, constant_closed_form=c_closed,
+                          constant_quadrature=c_quad,
+                          constant_rel_err=_judged(rel_errs[0], args.quad_tol), per_t=[])
     for t in t_grid:
         lhs, rhs, rel = verify_power_identity(t, a, spec)
-        per_t.append({"t": t, "lhs": lhs, "rhs": rhs,
-                      "rel_err": _judged(rel, args.quad_tol)})
-        worst = max(worst, rel)
+        report.payload["per_t"].append({"t": t, "lhs": lhs, "rhs": rhs,
+                                        "rel_err": _judged(rel, args.quad_tol)})
+        rel_errs.append(rel)
+    worst = float(np.max(rel_errs))  # nan if any is, unlike max
     ok = worst <= args.quad_tol
-    payload = {
-        "a": a,
-        "power": 2.0 * a,
-        "constant_closed_form": c_closed,
-        "constant_quadrature": c_quad,
-        "constant_rel_err": _judged(c_rel, args.quad_tol),
-        "per_t": per_t,
-    }
-    summary = [
-        f"c({a}) = {c_closed:.12g} (quadrature {c_quad:.12g}, rel err {c_rel:.3g})",
+    report.summary = [
+        f"c({a}) = {c_closed:.12g} (quadrature {c_quad:.12g}, rel err {rel_errs[0]:.3g})",
         f"power identity t**{2 * a:g} over {len(t_grid)} grid points: "
         f"worst rel err {worst:.3g} ({'pass' if ok else 'FAIL'})",
     ]
-    _emit(args, "schoenberg", {}, ok, payload, tolerances, summary)
-    return EXIT_PASS if ok else EXIT_PROPERTY
+    return ok
 
 
-def _cmd_quotient_embed(args) -> int:
+def _cmd_quotient_embed(args, report: _Report) -> bool:
     group_path, reps_path = Path(args.group), Path(args.reps)
-    inputs = {"group": _digest(group_path), "representatives": _digest(reps_path)}
+    report.inputs.update(group=_digest(group_path), representatives=_digest(reps_path))
     if not 0.0 <= args.alpha < 1.0:
-        print(
-            f"error: --alpha must lie in [0, 1) for the quotient pipeline "
-            f"(the alpha = 1 endpoint is excluded), got {args.alpha}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    tolerances = {"tol": args.tol}
-    payload = {"alpha": args.alpha}
+        raise DomainError(f"--alpha must lie in [0, 1) for the quotient pipeline "
+                          f"(the alpha = 1 endpoint is excluded), got {args.alpha}")
+    report.tolerances["tol"] = args.tol
+    report.payload["alpha"] = args.alpha
 
-    try:
-        action = _load_action(group_path)
-        reps = _load_table(reps_path, "representatives")
-        config = lift_orbits(reps, action, tol=args.tol)
-        result = qng_embed(config, args.alpha, tol=args.tol)
-    except SnowflakeError as exc:
-        payload["failure"] = _error_payload(exc)
-        _emit(args, "quotient-embed", inputs, False, payload, tolerances,
-              [f"FAIL: {exc}"])
-        return EXIT_PROPERTY
+    action = _load_action(group_path)
+    config = lift_orbits(_load_table(reps_path, "representatives"), action, tol=args.tol)
+    result = qng_embed(config, args.alpha, tol=args.tol)
 
     spectrum = result.spectrum
     zero_count = int(np.sum(spectrum <= spectral_threshold(spectrum, args.tol)))
-    payload.update({
-        "group_order": action.group.order,
-        "n_orbits": config.n_orbits,
-        "lifted_points": config.size,
-        "max_abs_error": _judged(result.max_abs_error, result.verification_tol),
-        "equivariance_defect": _judged(result.equivariance_defect, args.tol),
-        "spectrum": _jsonable(spectrum),
-        "zero_eigenvalues": zero_count,
-        "report": [row.to_dict() for row in result.report],
-        "scale_note": result.scale_note,
-    })
-    summary = [
+    rows = [row.to_dict() for row in result.report]
+    report.payload.update(
+        group_order=action.group.order,
+        n_orbits=config.n_orbits,
+        lifted_points=config.size,
+        max_abs_error=_judged(result.max_abs_error, result.verification_tol),
+        equivariance_defect=_judged(result.equivariance_defect, result.equivariance_tol),
+        spectrum=spectrum,
+        zero_eigenvalues=zero_count,
+        report=rows,
+        scale_note=result.scale_note,
+    )
+    report.summary = [
         f"embedded {config.n_orbits} orbits (group order {action.group.order}, "
         f"{config.size} lifted points) at alpha = {args.alpha}",
         f"max abs distance error {result.max_abs_error:.3g}, "
@@ -431,14 +381,10 @@ def _cmd_quotient_embed(args) -> int:
         f"{zero_count} zero eigenvalue(s)",
     ]
     if args.out:
-        _write_points(args.out, {
-            "points": result.points,
-            "report": [row.to_dict() for row in result.report],
-            "scale_note": result.scale_note,
-        })
-        summary.append(f"embedding: {args.out}")
-    _emit(args, "quotient-embed", inputs, True, payload, tolerances, summary)
-    return EXIT_PASS
+        _write_points(args.out, {"points": result.points, "report": rows,
+                                 "scale_note": result.scale_note})
+        report.summary.append(f"embedding: {args.out}")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -512,19 +458,24 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    report = _Report(args.command)
     try:
-        return args.func(args)
+        try:
+            outcome = args.func(args, report)
+        except DomainError:
+            raise
+        except SnowflakeError as exc:
+            report.fail(exc)
+            outcome = False
+        report.write(getattr(args, "json", None), outcome)
     except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SnowflakeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY
+    return EXIT_PASS if outcome else EXIT_PROPERTY
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import DimensionMismatch, DomainError, NotEmbeddable, TheoremViolation
-from .metric import FiniteMetricSpace, SnowflakeExponent, exponent_value, snowflake
-from .negative_type import DEFAULT_TOL, check_negative_type, spectral_decision
+from .metric import FiniteMetricSpace, SnowflakeExponent, exponent_value
+from .negative_type import DEFAULT_TOL, snowflake_decision, spectral_decision
 
 #: Largest admissible relative distance-reconstruction error.
 RESIDUAL_LIMIT = 1e-8
@@ -59,9 +59,14 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     RESIDUAL_LIMIT.
     """
     check_point_count(X.n)
-    report, mu, U, keep = spectral_decision(X, tol)
+    return _coordinates(X, spectral_decision(X, tol))
+
+
+def _coordinates(X: FiniteMetricSpace, decision) -> EmbeddingResult:
+    """The embedding of X that its ``spectral_decision`` gives, residual verified."""
+    report, mu, U, keep = decision
     if not report.is_negative_type:
-        raise NotEmbeddable(report.min_eigenvalue, witness=report.witness)
+        raise NotEmbeddable(report.min_eigenvalue, report.threshold, witness=report.witness)
     mu, U, keep = mu[::-1], U[:, ::-1], keep[::-1]
     coords = U[:, keep] * np.sqrt(mu[keep])
     coords.flags.writeable = False
@@ -72,17 +77,12 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
         rank=int(keep.sum()),
         residual=embedding_residual(coords, X),
     )
-    if result.residual > RESIDUAL_LIMIT:
+    if not result.residual <= RESIDUAL_LIMIT:
         # happens only for extreme dynamic range: pair distances so far
         # below the configuration scale that double precision cannot
         # certify them to the relative limit
-        raise NotEmbeddable(
-            report.min_eigenvalue,
-            reason=(
-                f"reconstruction residual {result.residual:.3e} exceeds "
-                f"{RESIDUAL_LIMIT:.0e}"
-            ),
-        )
+        raise NotEmbeddable(report.min_eigenvalue, RESIDUAL_LIMIT, reason=(
+            f"reconstruction residual {result.residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"))
     return result
 
 
@@ -104,15 +104,8 @@ def snowflake_embed(
     alpha = exponent_value(a)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"snowflake embedding needs alpha in (0, 1), got {alpha!r}")
-    hypothesis = check_negative_type(X, tol)
-    if not hypothesis.is_negative_type:
-        raise NotEmbeddable(
-            hypothesis.min_eigenvalue,
-            witness=hypothesis.witness,
-            reason="input metric is not of negative type",
-        )
-    result = embed(snowflake(X, alpha), tol)
-    # rank n-1 is the strictness verdict of embed's spectral decision
+    result = _coordinates(*snowflake_decision(X, alpha, tol, NotEmbeddable))
+    # rank n-1 is the strictness verdict of the spectral decision of X**alpha
     if result.rank < X.n - 1:
         raise TheoremViolation(result.rank, X.n - 1, result.eigenvalues)
     return result

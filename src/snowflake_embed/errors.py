@@ -65,10 +65,11 @@ class DuplicatePoints(SnowflakeError):
 # negative type and embedding
 
 class NotStrict(SnowflakeError):
-    """The strict negative-type margin was not met."""
+    """The strict negative-type margin was not met at spectral threshold ``threshold``."""
 
-    def __init__(self, min_eigenvalue: float, witness=None, reason: str = ""):
+    def __init__(self, min_eigenvalue: float, threshold: float, witness=None, reason: str = ""):
         self.min_eigenvalue = float(min_eigenvalue)
+        self.threshold = float(threshold)
         self.witness = witness
         self.reason = reason
         msg = f"strict negative type fails: min eigenvalue {self.min_eigenvalue!r}"
@@ -98,10 +99,13 @@ class BadWeights(SnowflakeError):
 
 
 class NotEmbeddable(SnowflakeError):
-    """The metric admits no isometric Euclidean embedding at the given tolerance."""
+    """The metric admits no isometric Euclidean embedding at the given tolerance;
+    ``threshold`` decided it: the spectral threshold of ``eigenvalue``, or the
+    residual limit when ``reason`` names the reconstruction residual."""
 
-    def __init__(self, eigenvalue: float, witness=None, reason: str = ""):
+    def __init__(self, eigenvalue: float, threshold: float, witness=None, reason: str = ""):
         self.eigenvalue = float(eigenvalue)
+        self.threshold = float(threshold)
         self.witness = witness
         self.reason = reason
         if reason:

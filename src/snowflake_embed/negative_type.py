@@ -30,6 +30,9 @@ from .metric import (
 #: Absolute tolerance on weight-vector sum constraints.
 WEIGHT_SUM_TOL = 1e-12
 
+#: The reason of a failed hypothesis of the theorem: X itself is not of negative type.
+HYPOTHESIS_FAILS = "input metric is not of negative type"
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -46,12 +49,15 @@ class NegativeTypeReport:
     to the sum-zero subspace (the trivial zero along the all-ones direction
     is excluded).  ``witness``, when present, is a sum-zero weight vector
     reproducing the violation or degeneracy through ``quadratic_form``.
+    ``threshold`` decided both verdicts: negative type when min_eigenvalue
+    >= -threshold, strict when min_eigenvalue > threshold.
     """
 
     is_negative_type: bool
     is_strict: bool
     min_eigenvalue: float
     witness: np.ndarray | None
+    threshold: float
 
     @property
     def embeddable(self) -> bool:
@@ -142,13 +148,29 @@ def spectral_decision(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
     min_eig = float(evals.min(initial=np.inf))
     strict = min_eig > threshold
     report = NegativeTypeReport(min_eig >= -threshold, strict, min_eig,
-                                None if strict else vecs[:, 0])
+                                None if strict else vecs[:, 0], threshold)
     return report, evals, vecs, evals > threshold
 
 
 def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> NegativeTypeReport:
     """Whether X is of negative type (equivalently, embeddable), with witness."""
     return spectral_decision(X, tol)[0]
+
+
+def snowflake_decision(X: FiniteMetricSpace, alpha: float, tol: float, failure):
+    """The theorem's test: decide X (the hypothesis), then X**alpha.
+
+    When X is not of negative type, raises ``failure`` (NotStrict or
+    NotEmbeddable) with the eigenvalue, threshold and witness of X and the
+    reason HYPOTHESIS_FAILS.  Otherwise returns X**alpha and its
+    ``spectral_decision``.
+    """
+    hypothesis = check_negative_type(X, tol)
+    if not hypothesis.is_negative_type:
+        raise failure(hypothesis.min_eigenvalue, hypothesis.threshold,
+                      witness=hypothesis.witness, reason=HYPOTHESIS_FAILS)
+    Y = snowflake(X, alpha)
+    return Y, spectral_decision(Y, tol)
 
 
 def check_strict_negative_type(
@@ -167,20 +189,10 @@ def check_strict_negative_type(
     alpha = exponent_value(a)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"strict negative type needs alpha in (0, 1], got {alpha!r}")
-    base = check_negative_type(X, tol)
-    if not base.is_negative_type:
-        raise NotStrict(
-            base.min_eigenvalue,
-            witness=base.witness,
-            reason="input metric is not of negative type",
-        )
-    report = check_negative_type(snowflake(X, alpha), tol)
+    _, (report, *_) = snowflake_decision(X, alpha, tol, NotStrict)
     if not report.is_strict:
-        raise NotStrict(
-            report.min_eigenvalue,
-            witness=report.witness,
-            reason="strictness margin not met",
-        )
+        raise NotStrict(report.min_eigenvalue, report.threshold, witness=report.witness,
+                        reason="strictness margin not met")
     return report
 
 

@@ -88,8 +88,10 @@ class QngEmbedding:
     regular permutation); ``spectrum`` is the nonincreasing spectrum of the
     induced form, which has exactly one zero eigenvalue for free
     configurations and alpha < 1.  That trivial eigenvalue, along the
-    all-ones vector, is reported as exactly 0.0.  ``max_abs_error`` was
-    judged against ``verification_tol`` = tol * (1 + largest target).
+    all-ones vector, is reported as exactly 0.0.  ``equivariance_defect``
+    (of T) was judged against ``equivariance_tol`` = (N tol (1 + max |B|))**0.5,
+    and ``max_abs_error`` against ``verification_tol`` = tol * (1 +
+    largest target).
     """
 
     points: np.ndarray
@@ -97,6 +99,7 @@ class QngEmbedding:
     report: list[PairCheck]
     spectrum: np.ndarray
     equivariance_defect: float
+    equivariance_tol: float
     max_abs_error: float
     verification_tol: float
     scale_note: str = SCALE_NOTE
@@ -173,6 +176,14 @@ def equivariance_defect(T, perms) -> float:
     return max((float(np.abs(T[np.ix_(s, s)] - T).max()) for s in perms), default=0.0)
 
 
+def _judge_equivariance(M: np.ndarray, perms, limit: float) -> float:
+    """The equivariance defect of M; InvarianceViolation when it exceeds ``limit``."""
+    defect = equivariance_defect(M, perms)
+    if not defect <= limit:
+        raise InvarianceViolation(defect, limit)
+    return defect
+
+
 def qng_embed(
     Q: QuotientConfiguration,
     a: SnowflakeExponent | float,
@@ -181,9 +192,9 @@ def qng_embed(
     """Embed the snowflaked orbit space into the canonical quotient target.
 
     Pipeline: squared snowflaked distances of the lifted points; the induced
-    form B = -1/2 P D P, checked to commute with every regular permutation;
-    its symmetric square root T; points ones/N + T e_(k, identity).  The
-    achieved quotient distances (minima over the permutation action) are
+    form B = -1/2 P D P and its symmetric square root T, each checked to
+    commute with every regular permutation; points ones/N + T e_(k, identity).
+    The achieved quotient distances (minima over the permutation action) are
     verified against the snowflaked geometric quotient distances pair by
     pair.  Monotonicity of t -> t**alpha makes the minimizing group element
     agree with the geometric minimizer.
@@ -205,10 +216,8 @@ def qng_embed(
     np.fill_diagonal(D, 0.0)
     B = gram_from_distances(D)
 
-    defect_B = equivariance_defect(B, Q.action_permutations)
-    inv_tol = tol * (1.0 + float(np.abs(B).max()))
-    if defect_B > inv_tol:
-        raise InvarianceViolation(defect_B, inv_tol)
+    form_tol = tol * (1.0 + float(np.abs(B).max()))
+    _judge_equivariance(B, Q.action_permutations, form_tol)
 
     # The square root is taken on the sum-zero restriction so that T
     # annihilates the all-ones vector exactly; otherwise the trivial
@@ -217,14 +226,15 @@ def qng_embed(
     mu, U = centered_spectrum(B)
     T = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
     T = 0.5 * (T + T.T)
-    defect_T = equivariance_defect(T, Q.action_permutations)
+    # T = sqrt(B), and ||sqrt(A) - sqrt(C)||_2 <= ||A - C||_2**0.5 for A, C >= 0 bounds
+    # T's defect by B's limit; one linear in tol fails where B nears singularity
+    root_tol = (size * form_tol) ** 0.5
+    defect_T = _judge_equivariance(T, Q.action_permutations, root_tol)
 
     base = np.full(size, 1.0 / size)
     points = base[None, :] + T[:, np.arange(n) * order + e_idx].T
 
     report = []
-    max_err = 0.0
-    max_target = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             target = quotient_distance(
@@ -232,13 +242,12 @@ def qng_embed(
             ) ** alpha
             permuted = points[j][Q.action_permutations]
             achieved = float(np.linalg.norm(permuted - points[i][None, :], axis=1).min())
-            err = abs(achieved - target)
-            report.append(PairCheck(i, j, target, achieved, err))
-            max_err = max(max_err, err)
-            max_target = max(max_target, target)
+            report.append(PairCheck(i, j, target, achieved, abs(achieved - target)))
 
-    verify_tol = tol * (1.0 + max_target)
-    if max_err > verify_tol:
+    # np.max, unlike max, keeps a nan, which then fails the verification
+    max_err = float(np.max([row.abs_error for row in report], initial=0.0))
+    verify_tol = tol * (1.0 + float(np.max([row.target for row in report], initial=0.0)))
+    if not max_err <= verify_tol:
         raise VerificationFailure(max_err, verify_tol, report=report)
 
     # B is the restricted form plus the exact zero along the all-ones vector
@@ -251,6 +260,7 @@ def qng_embed(
         report=report,
         spectrum=spectrum,
         equivariance_defect=defect_T,
+        equivariance_tol=root_tol,
         max_abs_error=max_err,
         verification_tol=verify_tol,
     )

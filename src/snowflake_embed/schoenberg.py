@@ -60,16 +60,11 @@ def _check_exponent(a: float) -> float:
 
 def _quad_piece(func, lo, hi, spec: QuadratureSpec, **kwargs) -> float:
     # the weighted rule needs at least two subintervals
-    out = quad(
-        func,
-        lo,
-        hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=max(2, spec.max_subdivisions),
-        full_output=1,
-        **kwargs,
-    )
+    try:
+        out = quad(func, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                   limit=max(2, spec.max_subdivisions), full_output=1, **kwargs)
+    except OverflowError as exc:  # an integrand value beyond double range
+        raise QuadratureNonconvergence(f"integrand overflow: {exc}") from None
     if len(out) > 3:
         raise QuadratureNonconvergence(str(out[3]).strip())
     return float(out[0])
@@ -78,8 +73,9 @@ def _quad_piece(func, lo, hi, spec: QuadratureSpec, **kwargs) -> float:
 def power_kernel_integral(terms, a: float, spec: QuadratureSpec | None = None) -> float:
     """integral_0^inf sum_k c_k (1 - exp(-lam^2 t_k^2)) lam^(-1-2a) dlam.
 
-    ``terms`` is a sequence of (coefficient, t) pairs with t > 0.  The
-    integral is split at lam_0 = 1/max(t_max, 1): the singular head uses the
+    ``terms`` is a sequence of (coefficient, t) pairs with t > 0 and t**2 a
+    positive finite double; other t raise DomainError.  The integral is
+    split at lam_0 = 1/max(t_max, 1): the singular head uses the
     substitution u = lam^2, after which the lam^(-1-2a) singularity becomes
     an algebraic u^(-a) endpoint weight handled natively by the quadrature
     rule; the tail truncates once every exponential is below machine noise
@@ -93,9 +89,12 @@ def power_kernel_integral(terms, a: float, spec: QuadratureSpec | None = None) -
     ts = np.asarray([t for _, t in terms], dtype=float)
     if coef.size == 0:
         return 0.0
-    if (ts <= 0.0).any():
-        raise DomainError("kernel scales t must be positive")
-    tsq = ts * ts
+    with np.errstate(over="ignore"):
+        tsq = ts * ts
+    bad = ~((ts > 0.0) & (tsq > 0.0) & np.isfinite(tsq))
+    if bad.any():
+        raise DomainError(f"kernel scale t = {float(ts[bad][0])!r} is outside the domain: "
+                          "t must be positive with t**2 a positive finite double")
     lam0 = 1.0 / max(float(ts.max()), 1.0)
     u0 = lam0 * lam0
 
@@ -144,13 +143,12 @@ def verify_power_identity(
     """Compare t**(2a) against its integral representation.
 
     Returns (lhs, rhs, rel_err) with rhs computed by adaptive quadrature.
+    ``power_kernel_integral`` rejects t outside its domain before t**(2a) is formed.
     """
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t!r}")
     a = _check_exponent(a)
-    lhs = t ** (2.0 * a)
     rhs = schoenberg_constant(a) * power_kernel_integral([(1.0, t)], a, spec)
+    lhs = t ** (2.0 * a)
     return lhs, rhs, abs(lhs - rhs) / lhs
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from snowflake_embed import cli, embedding, euclidean_metric, snowflake_embed
 from snowflake_embed.cli import main
+from snowflake_embed.errors import QuadratureNonconvergence, VerificationFailure
 from snowflake_embed.metric import pairwise_distances
 
 
@@ -35,6 +36,14 @@ def cloud_and_matrix_json(tmp_path, make_cloud):
     d = euclidean_metric(pts).d
     matrix = write_json(tmp_path / "matrix.json", {"distances": d.tolist()})
     return pts, cloud, matrix
+
+
+def spectral_radius(d):
+    """Largest |eigenvalue| of -1/2 J D J for the distance matrix d, by a full
+    numpy eigendecomposition."""
+    d = np.asarray(d, dtype=float)
+    J = np.eye(len(d)) - 1.0 / len(d)
+    return np.abs(np.linalg.eigvalsh(-0.5 * J @ (d * d) @ J)).max()
 
 
 def refuse(*args, **kwargs):
@@ -172,6 +181,33 @@ class TestNegtype:
 
     def test_alpha_out_of_range(self, collinear_json):
         assert main(["negtype", collinear_json, "--alpha", "1.5"]) == 4
+
+    def test_reported_tolerance_is_the_applied_threshold(self, claw_json, claw_matrix,
+                                                          tmp_path):
+        # tol times the spectral radius 2 of the claw's form, not --tol
+        report_path = tmp_path / "report.json"
+        assert main(["negtype", claw_json, "--json", str(report_path)]) == 2
+        judged = json.loads(report_path.read_text())["payload"]["min_eigenvalue"]
+        assert spectral_radius(claw_matrix) == pytest.approx(2.0, rel=1e-12)
+        assert judged["tolerance"] == pytest.approx(2e-9, rel=1e-12)
+        assert judged["value"] < -judged["tolerance"]
+
+    @pytest.mark.parametrize("case", ["hypothesis", "margin"])
+    def test_strict_failure_reports_the_applied_threshold(self, case, claw_json, claw_matrix,
+                                                          collinear_json, tmp_path):
+        # the hypothesis fails on the claw (X decided), the margin on
+        # collinear points at alpha = 1 (X**1 = X decided)
+        path, d = ((claw_json, claw_matrix) if case == "hypothesis"
+                   else (collinear_json, [[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
+        report_path = tmp_path / "report.json"
+        assert main(["negtype", path, "--strict", "--alpha", "0.5" if case == "hypothesis" else "1",
+                     "--json", str(report_path)]) == 2
+        payload = json.loads(report_path.read_text())["payload"]
+        judged = payload["min_eigenvalue"]
+        assert judged["tolerance"] == pytest.approx(1e-9 * spectral_radius(d), rel=1e-12)
+        assert payload["failure"]["threshold"] == judged["tolerance"]
+        assert payload["is_negative_type"] == (judged["value"] >= -judged["tolerance"])
+        assert payload["is_strict"] is False and not judged["value"] > judged["tolerance"]
 
     def test_strict_failure_decides_each_metric_once(self, claw_json, collinear_json,
                                                       monkeypatch):
@@ -327,6 +363,30 @@ class TestSchoenberg:
         assert main(["schoenberg", "--alpha", "0.5", "--t-grid", "0,1"]) == 4
         assert main(["schoenberg", "--alpha", "0.5", "--t-grid", "abc"]) == 4
 
+    @pytest.mark.parametrize("t", ["1e-300", "1e160", "1e300"])
+    def test_t_beyond_double_precision_is_usage_error(self, t, tmp_path, capsys):
+        # t**2 underflows to 0 or overflows to inf: outside the domain
+        report_path = tmp_path / "report.json"
+        assert main(["schoenberg", "--alpha", "0.99", "--t-grid", t,
+                     "--json", str(report_path)]) == 4
+        err = capsys.readouterr().err
+        assert "t**2 a positive finite double" in err
+        assert "Traceback" not in err
+        assert not report_path.exists()
+
+    def test_quadrature_failure_writes_report(self, tmp_path, monkeypatch):
+        def nonconvergent(*args, **kwargs):
+            raise QuadratureNonconvergence("subdivision budget exhausted")
+
+        monkeypatch.setattr(cli, "verify_power_identity", nonconvergent)
+        report_path = tmp_path / "report.json"
+        assert main(["schoenberg", "--alpha", "0.5", "--t-grid", "1,2",
+                     "--json", str(report_path)]) == 2
+        report = json.loads(report_path.read_text())
+        assert report["outcome"] == "fail"
+        assert report["payload"]["failure"]["error"] == "QuadratureNonconvergence"
+        assert report["payload"]["per_t"] == []
+
 
 class TestQuotientEmbed:
     def test_reflection_example(self, c2_group_json, tmp_path):
@@ -425,6 +485,36 @@ class TestQuotientEmbed:
         assert failure["error"] == "NumericalAmbiguity"
         assert 0.0 < failure["distance"] <= failure["tol"] == 1e-3
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equivariance_defect_judged(self, seed, tmp_path):
+        # C4 on E^2, representatives scaled by 1e6: the defect of the root
+        # is judged against tol * (1 + max |T|), the limit qng_embed applied
+        group = write_json(tmp_path / "c4.json",
+                           {"dim": 2, "generators": [[[0.0, -1.0], [1.0, 0.0]]]})
+        reps = np.random.default_rng(seed).standard_normal((6, 2)) * 1e6
+        rsrc = write_json(tmp_path / "reps.json", {"representatives": reps.tolist()})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", group, rsrc, "--alpha", "0.9",
+                     "--json", str(report_path)]) == 0
+        judged = json.loads(report_path.read_text())["payload"]["equivariance_defect"]
+        assert judged["value"] <= judged["tolerance"]
+        assert judged["tolerance"] > 1e-9
+
+    def test_verification_failure_writes_report(self, c2_group_json, tmp_path, monkeypatch):
+        from snowflake_embed.quotient import PairCheck
+
+        def unverified(*args, **kwargs):
+            raise VerificationFailure(0.5, 2e-9, report=[PairCheck(0, 1, 1.0, 1.5, 0.5)])
+
+        monkeypatch.setattr(cli, "qng_embed", unverified)
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", c2_group_json, reps, "--json", str(report_path)]) == 2
+        failure = json.loads(report_path.read_text())["payload"]["failure"]
+        assert failure["error"] == "VerificationFailure"
+        assert failure["report"] == [{"i": 0, "j": 1, "target": 1.0, "achieved": 1.5,
+                                      "abs_error": 0.5}]
 
     def test_csv_reps_accepted(self, c2_group_json, tmp_path):
         reps = tmp_path / "reps.csv"

@@ -246,3 +246,42 @@ class TestEmbeddingResidual:
             res = snowflake_embed(X, a)
             Y = snowflake(X, a)
             assert embedding_residual(res.coordinates, Y) <= 1e-8
+
+
+class TestThresholdCarried:
+    def test_spectral_failure_carries_threshold(self, claw_matrix):
+        from snowflake_embed import check_negative_type
+        from snowflake_embed.negative_type import HYPOTHESIS_FAILS
+
+        X = validate_metric(claw_matrix)
+        report = check_negative_type(X)
+        for run in (lambda: embed(X), lambda: snowflake_embed(X, 0.5)):
+            with pytest.raises(NotEmbeddable) as exc:
+                run()
+            assert exc.value.eigenvalue == report.min_eigenvalue
+            assert exc.value.threshold == report.threshold
+            assert exc.value.eigenvalue < -exc.value.threshold
+        assert exc.value.reason == HYPOTHESIS_FAILS
+
+    def test_residual_failure_carries_residual_limit(self):
+        # strict at alpha = 0.8, but the closest pair is below what the
+        # residual limit can certify at this configuration scale
+        X = euclidean_metric([[0.0], [1e-5], [0.5], [1.0]])
+        with pytest.raises(NotEmbeddable) as exc:
+            snowflake_embed(X, 0.8)
+        assert "residual" in exc.value.reason
+        assert exc.value.threshold == embedding_module.RESIDUAL_LIMIT
+
+    def test_two_eigendecompositions(self, make_cloud, monkeypatch):
+        # the hypothesis on X, then the decision on X**alpha that also
+        # gives the coordinates
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        snowflake_embed(euclidean_metric(make_cloud(10, 2)), 0.5)
+        assert len(calls) == 2

@@ -382,3 +382,47 @@ class TestOneSpectralDecision:
             assert certificate.is_strict == report.is_strict
             assert certificate.min_eigenvalue == report.min_eigenvalue
             assert np.array_equal(certificate.witness, report.witness)
+
+
+def radius_oracle(X):
+    """Largest |eigenvalue| of -1/2 J D J by a full numpy eigendecomposition;
+    the trivial zero along the all-ones vector does not change it."""
+    n = X.n
+    J = np.eye(n) - np.ones((n, n)) / n
+    return np.abs(np.linalg.eigvalsh(-0.5 * J @ squared_distance_matrix(X) @ J)).max()
+
+
+class TestThresholdCarried:
+    """Every verdict carries the threshold that decided it: tol times the
+    spectral radius of the restricted form."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+    def test_report_threshold_decides_both_verdicts(self, tol, claw_matrix, make_cloud):
+        for X in (validate_metric(claw_matrix), euclidean_metric([[0.0], [1.0], [2.0]]),
+                  euclidean_metric(make_cloud(9, 2))):
+            report = check_negative_type(X, tol)
+            assert report.threshold == pytest.approx(tol * radius_oracle(X), rel=1e-12, abs=0)
+            assert report.is_negative_type == (report.min_eigenvalue >= -report.threshold)
+            assert report.is_strict == (report.min_eigenvalue > report.threshold)
+
+    def test_hypothesis_reason_is_one_constant(self, claw_matrix):
+        from snowflake_embed import negative_type
+
+        assert negative_type.HYPOTHESIS_FAILS == HYPOTHESIS_FAILS
+        X = validate_metric(claw_matrix)
+        with pytest.raises(NotStrict) as exc:
+            check_strict_negative_type(X, 0.5)
+        assert exc.value.reason == negative_type.HYPOTHESIS_FAILS
+        # the hypothesis fails: the threshold is that of X
+        assert exc.value.threshold == check_negative_type(X).threshold
+        assert exc.value.threshold == pytest.approx(2e-9, rel=1e-12)
+
+    def test_margin_failure_carries_threshold_of_snowflake(self):
+        X = euclidean_metric([[0.0], [1.0], [2.0]])
+        with pytest.raises(NotStrict) as exc:
+            check_strict_negative_type(X, 1.0)
+        assert exc.value.reason == "strictness margin not met"
+        report = check_negative_type(snowflake(X, 1.0))
+        assert exc.value.threshold == report.threshold
+        assert exc.value.min_eigenvalue == report.min_eigenvalue
+        assert abs(exc.value.min_eigenvalue) <= exc.value.threshold

@@ -302,6 +302,44 @@ class TestQngEmbed:
         assert result.points.shape == (1, 1)
         assert result.report == []
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_root_defect_judged_at_its_scale(self, seed):
+        # C4 on E^2, representatives scaled by 1e6: the root's defect
+        # exceeds the bare tol but not the bound B's limit puts on it
+        reps = np.random.default_rng(seed).standard_normal((6, 2)) * 1e6
+        config = lift_orbits(reps, rotation_action(4))
+        result = qng_embed(config, 0.9)
+        D = pairwise_distances(config.lifted) ** 1.8
+        J = np.eye(config.size) - 1.0 / config.size
+        B = -0.5 * J @ D @ J
+        limit = (config.size * 1e-9 * (1.0 + np.abs(B).max())) ** 0.5
+        assert result.equivariance_tol == pytest.approx(limit, rel=1e-9)
+        assert 1e-9 < result.equivariance_defect <= result.equivariance_tol
+
+    def test_root_defect_near_singular_form(self):
+        # at alpha = 1 - 2**-53 these collinear orbits give a nearly singular
+        # form; the root's defect (~6e-9) exceeds tol * (1 + max |T|) but
+        # not the square-root bound
+        config = lift_orbits([[1.0, 0.0], [0.5, 0.0]], rotation_action(2))
+        result = qng_embed(config, 0.9999999999999999)
+        assert result.equivariance_defect <= result.equivariance_tol
+
+    def test_root_invariance_gate(self, monkeypatch):
+        # unequal square roots on one two-dimensional isotypic eigenspace
+        # break the commutation of T while B still commutes
+        from snowflake_embed import quotient
+
+        spectrum = quotient.centered_spectrum
+
+        def uneven(B):
+            mu, U = spectrum(B)
+            return mu * (1.0 + 1e-3 * np.arange(mu.size)), U
+
+        monkeypatch.setattr(quotient, "centered_spectrum", uneven)
+        config = lift_orbits([[1.0, 0.3], [0.2, 2.0]], rotation_action(4))
+        with pytest.raises(InvarianceViolation):
+            qng_embed(config, 0.5)
+
 
 class TestQuotientProperties:
     @given(
