@@ -24,7 +24,7 @@ from .errors import DomainError, NotStrict, SnowflakeError
 from .groups import IDENTIFICATION_TOL, OrthogonalAction, close_group
 from .metric import euclidean_metric, snowflake, validate_metric
 from .negative_type import (DEFAULT_TOL, HYPOTHESIS_FAILS, check_negative_type,
-                            check_strict_negative_type, spectral_threshold)
+                            check_strict_negative_type)
 from .quotient import lift_orbits, qng_embed
 from .schoenberg import (
     QuadratureSpec,
@@ -359,8 +359,6 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
     config = lift_orbits(_load_table(reps_path, "representatives"), action, tol=args.tol)
     result = qng_embed(config, args.alpha, tol=args.tol)
 
-    spectrum = result.spectrum
-    zero_count = int(np.sum(spectrum <= spectral_threshold(spectrum, args.tol)))
     rows = [row.to_dict() for row in result.report]
     report.payload.update(
         group_order=action.group.order,
@@ -368,8 +366,8 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
         lifted_points=config.size,
         max_abs_error=_judged(result.max_abs_error, result.verification_tol),
         equivariance_defect=_judged(result.equivariance_defect, result.equivariance_tol),
-        spectrum=spectrum,
-        zero_eigenvalues=zero_count,
+        spectrum=result.spectrum,
+        zero_eigenvalues=result.zero_eigenvalues,
         report=rows,
         scale_note=result.scale_note,
     )
@@ -378,7 +376,7 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
         f"{config.size} lifted points) at alpha = {args.alpha}",
         f"max abs distance error {result.max_abs_error:.3g}, "
         f"equivariance defect {result.equivariance_defect:.3g}, "
-        f"{zero_count} zero eigenvalue(s)",
+        f"{result.zero_eigenvalues} zero eigenvalue(s)",
     ]
     if args.out:
         _write_points(args.out, {"points": result.points, "report": rows,

@@ -11,12 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotOrthogonal,
-    NumericalAmbiguity,
-    OrderExceeded,
-)
+from .errors import (DimensionMismatch, DomainError, NotOrthogonal, NumericalAmbiguity,
+                     OrderExceeded)
 
 #: Entrywise tolerance for identifying two matrices as the same group element.
 IDENTIFICATION_TOL = 1e-8
@@ -25,10 +21,21 @@ IDENTIFICATION_TOL = 1e-8
 ORTHOGONALITY_TOL = 1e-10
 HOMOMORPHISM_TOL = 1e-9
 
-#: Associativity is checked exhaustively up to this order, sampled above.
-_EXHAUSTIVE_ORDER = 64
-
 DEFAULT_MAX_ORDER = 1024
+
+
+def _generating_set(table: np.ndarray, identity: int) -> list[int]:
+    """Generators of a Latin square with identity, read greedily off the table:
+    each element outside the closure of those before it, a closure that holds
+    the identity.  A proper closure is at most half the next, so they are few."""
+    reached = np.arange(len(table)) == identity
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[gens[-1]] = True
+        while not reached[products := table[np.ix_(reached, reached)]].all():
+            reached[products] = True
+    return gens
 
 
 @dataclass(frozen=True)
@@ -50,37 +57,29 @@ class FiniteGroup:
         rng = np.arange(order)
         if table.min(initial=0) < 0 or table.max(initial=-1) >= order:
             raise ValueError("table entries must be element indices")
-        for g in range(order):
-            if sorted(table[g]) != list(rng) or sorted(table[:, g]) != list(rng):
-                raise ValueError(f"table is not a Latin square at row/column {g}")
+        latin = ((np.sort(table, axis=1) == rng).all(axis=1)
+                 & (np.sort(table, axis=0) == rng[:, None]).all(axis=0))
+        if not latin.all():
+            raise ValueError(f"table is not a Latin square at row/column {np.argmin(latin)}")
 
-        identity = None
-        for g in range(order):
-            if np.array_equal(table[g], rng) and np.array_equal(table[:, g], rng):
-                identity = g
-                break
-        if identity is None:
+        is_identity = (table == rng).all(axis=1) & (table == rng[:, None]).all(axis=0)
+        if not is_identity.any():
             raise ValueError("table has no identity element")
+        identity = int(np.argmax(is_identity))
 
-        inverse = np.empty(order, dtype=int)
-        for g in range(order):
-            hits = np.flatnonzero(table[g] == identity)
-            if hits.size != 1 or table[hits[0], g] != identity:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inverse[g] = hits[0]
+        # rows are permutations, so each holds the identity exactly once
+        inverse = np.argmax(table == identity, axis=1)
+        two_sided = table[inverse, rng] == identity
+        if not two_sided.all():
+            raise ValueError(f"element {np.argmin(two_sided)} has no two-sided inverse")
 
-        if order <= _EXHAUSTIVE_ORDER:
-            left = table[table]          # left[a, b, c]  = (ab)c
-            right = table[:, table]      # right[a, b, c] = a(bc)
+        # Light's test: a magma generated by S is associative iff (x s) y = x (s y)
+        # for all x, y and every s in S (Clifford & Preston, vol. I, 1961, sec. 1.2)
+        for s in _generating_set(table, identity):
+            left, right = table[table[:, s]], table[:, table[s]]
             if not np.array_equal(left, right):
-                a, b, c = np.argwhere(left != right)[0]
-                raise ValueError(f"table is not associative at ({a}, {b}, {c})")
-        else:
-            sampler = np.random.default_rng(0)
-            triples = sampler.integers(0, order, size=(20000, 3))
-            for a, b, c in triples:
-                if table[table[a, b], c] != table[a, table[b, c]]:
-                    raise ValueError(f"table is not associative at ({a}, {b}, {c})")
+                a, c = np.argwhere(left != right)[0]
+                raise ValueError(f"table is not associative at ({a}, {s}, {c})")
 
         table = table.copy()
         table.flags.writeable = False
@@ -103,26 +102,20 @@ class OrthogonalAction:
                 f"expected {self.group.order} matrices of size {self.dim}, got {mats.shape}"
             )
         eye = np.eye(self.dim)
-        for g in range(self.group.order):
-            defect = np.abs(mats[g].T @ mats[g] - eye).max()
-            if defect > ORTHOGONALITY_TOL:
-                raise NotOrthogonal(g, defect)
+        defects = np.abs(mats.transpose(0, 2, 1) @ mats - eye).max(axis=(1, 2))
+        g = int(np.argmax(defects > ORTHOGONALITY_TOL))
+        if defects[g] > ORTHOGONALITY_TOL:
+            raise NotOrthogonal(g, defects[g])
         if np.abs(mats[self.group.identity_index] - eye).max() > ORTHOGONALITY_TOL:
             raise ValueError("identity element is not realized by the identity matrix")
 
-        order = self.group.order
-        if order <= 128:
-            pairs = [(g, h) for g in range(order) for h in range(order)]
-        else:
-            sampler = np.random.default_rng(0)
-            pairs = sampler.integers(0, order, size=(10000, 2)).tolist()
-        for g, h in pairs:
-            prod = mats[g] @ mats[h]
-            defect = np.abs(mats[self.group.table[g, h]] - prod).max()
-            if defect > HOMOMORPHISM_TOL:
-                raise ValueError(
-                    f"matrices do not respect the table at ({g}, {h}): defect {defect!r}"
-                )
+        # one row of the table at a time keeps the temporaries at order m^2
+        for g, row in enumerate(self.group.table):
+            defects = np.abs(mats[row] - mats[g] @ mats).max(axis=(1, 2))
+            h = int(np.argmax(defects > HOMOMORPHISM_TOL))
+            if defects[h] > HOMOMORPHISM_TOL:
+                raise ValueError(f"matrices do not respect the table at ({g}, {h}): "
+                                 f"defect {defects[h]!r}")
         mats = mats.copy()
         mats.flags.writeable = False
         object.__setattr__(self, "matrices", mats)
@@ -155,9 +148,12 @@ def close_group(
 
     Generators are projected to the nearest exactly-orthogonal matrix (polar
     factor) after the orthogonality gate, so long products do not drift.
-    Element identification is entrywise within ``tol``; products landing in
-    the band (tol, 10 tol] raise NumericalAmbiguity.
+    Element identification is entrywise within ``tol``, which lies in [0, 1);
+    products landing in the band (tol, 10 tol] raise NumericalAmbiguity, as
+    does a generator that ``tol`` merges into an element it does not equal.
     """
+    if not 0.0 <= tol < 1.0:
+        raise DomainError(f"identification tolerance must lie in [0, 1), got {tol!r}")
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
         raise ValueError("need at least one generator; use trivial_action for the trivial group")
@@ -191,6 +187,9 @@ def close_group(
         i += 1
 
     stack = stack[:order]
+    gap = max(np.abs(stack - g).max(axis=(1, 2)).min() for g in gens)
+    if gap > HOMOMORPHISM_TOL:
+        raise NumericalAmbiguity(gap, tol)
     table = np.empty((order, order), dtype=int)
     for i in range(order):
         table[i] = _identify(stack, stack[i] @ stack, tol)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .groups import OrthogonalAction
 from .metric import SnowflakeExponent, exponent_value, pairwise_distances
-from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances
+from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances, spectral_threshold
 
 SCALE_NOTE = (
     "distances are measured in the Euclidean structure induced on the "
@@ -88,7 +88,8 @@ class QngEmbedding:
     regular permutation); ``spectrum`` is the nonincreasing spectrum of the
     induced form, which has exactly one zero eigenvalue for free
     configurations and alpha < 1.  That trivial eigenvalue, along the
-    all-ones vector, is reported as exactly 0.0.  ``equivariance_defect``
+    all-ones vector, is reported as exactly 0.0; ``zero_eigenvalues`` counts
+    those at most ``spectral_threshold(spectrum, tol)``.  ``equivariance_defect``
     (of T) was judged against ``equivariance_tol`` = (N tol (1 + max |B|))**0.5,
     and ``max_abs_error`` against ``verification_tol`` = tol * (1 +
     largest target).
@@ -98,6 +99,7 @@ class QngEmbedding:
     gram_root: np.ndarray
     report: list[PairCheck]
     spectrum: np.ndarray
+    zero_eigenvalues: int
     equivariance_defect: float
     equivariance_tol: float
     max_abs_error: float
@@ -138,10 +140,9 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
 
     dists = pairwise_distances(lifted)
     scale = float(dists.max())
-    iu, ju = np.triu_indices(size, k=1)
-    close = dists[iu, ju] <= tol * scale
+    close = np.triu(dists <= tol * scale, k=1)
     if close.any():
-        p, q = int(iu[np.argmax(close)]), int(ju[np.argmax(close)])
+        p, q = divmod(int(close.argmax()), size)
         kp, hp = divmod(p, order)
         kq, hq = divmod(q, order)
         if kp == kq:
@@ -165,15 +166,19 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
 
 
 def equivariance_defect(T, perms) -> float:
-    """Largest entry of |T[ix_(s, s)] - T| over the rows s of ``perms``, such as
-    ``QuotientConfiguration.action_permutations``: the entries of T pi - pi T,
-    rearranged, for the permutation matrix pi with pi e_j = e_(s[j]).
+    """Largest entry of |T[ix_(s, s)] - T| over the rows s of ``perms``, which must be
+    every element of a permutation group, such as ``QuotientConfiguration.action_permutations``:
+    the entries of T pi - pi T, rearranged, for the permutation matrix pi with pi e_j = e_(s[j]).
+    Exact, in one gather of N^2 entries: T's spread over orbits of pairs (i least in its orbit, j).
     """
     T = np.asarray(T, dtype=float)
     perms = np.asarray(perms)
     if perms.ndim != 2 or T.shape != (perms.shape[1],) * 2:
         raise DimensionMismatch(f"permutations of shape {perms.shape} against matrix {T.shape}")
-    return max((float(np.abs(T[np.ix_(s, s)] - T).max()) for s in perms), default=0.0)
+    if not len(perms):
+        return 0.0
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+    return float(np.ptp(T[perms[:, reps, None], perms[:, None, :]], axis=0).max())
 
 
 def _judge_equivariance(M: np.ndarray, perms, limit: float) -> float:
@@ -259,6 +264,7 @@ def qng_embed(
         gram_root=T,
         report=report,
         spectrum=spectrum,
+        zero_eigenvalues=int(np.sum(spectrum <= spectral_threshold(spectrum, tol))),
         equivariance_defect=defect_T,
         equivariance_tol=root_tol,
         max_abs_error=max_err,

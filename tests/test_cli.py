@@ -486,6 +486,34 @@ class TestQuotientEmbed:
         assert 0.0 < failure["distance"] <= failure["tol"] == 1e-3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", [
+        # NaN let the non-orthogonal generator through, and it vanished
+        {"dim": 1, "generators": [[[2.0]]], "tolerance": float("nan")},
+        {"dim": 2, "generators": [[[0.0, -1.0], [1.0, 0.0]]], "tolerance": -1},
+        {"dim": 2, "generators": [[[0.0, -1.0], [1.0, 0.0]]], "tolerance": 5},
+    ])
+    def test_group_tolerance_outside_its_domain(self, group, tmp_path, capsys):
+        path = write_json(tmp_path / "group.json", group)
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0] * group["dim"]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", path, reps, "--json", str(report_path)]) == 4
+        assert not report_path.exists()
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_generator_merged_by_loose_tolerance_fails_with_report(self, tmp_path):
+        # the C16 generator lies within 0.5 of the identity, which would
+        # leave the trivial group
+        c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
+        group = write_json(tmp_path / "c16.json",
+                           {"dim": 2, "generators": [[[c, -s], [s, c]]], "tolerance": 0.5})
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0, 0.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", group, reps, "--json", str(report_path)]) == 2
+        failure = json.loads(report_path.read_text())["payload"]["failure"]
+        assert failure["error"] == "NumericalAmbiguity"
+        assert failure["distance"] == pytest.approx(s, rel=1e-12)
+        assert failure["tol"] == 0.5
+
     @pytest.mark.parametrize("seed", range(6))
     def test_equivariance_defect_judged(self, seed, tmp_path):
         # C4 on E^2, representatives scaled by 1e6: the defect of the root

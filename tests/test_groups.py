@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snowflake_embed import (
     close_group,
@@ -9,6 +13,7 @@ from snowflake_embed import (
     trivial_action,
 )
 from snowflake_embed.errors import (
+    DomainError,
     NotOrthogonal,
     NumericalAmbiguity,
     OrderExceeded,
@@ -29,6 +34,58 @@ def mirror2(theta):
         [np.cos(2 * theta), np.sin(2 * theta)],
         [np.sin(2 * theta), -np.cos(2 * theta)],
     ])
+
+
+def cyclic_table(n):
+    i, j = np.meshgrid(range(n), range(n), indexing="ij")
+    return (i + j) % n
+
+
+def swap_intercalate(table, rows, cols):
+    """Swap the two columns of the 2 x 2 Latin subsquare at ``rows`` x ``cols``."""
+    table[np.ix_(rows, cols)] = table[np.ix_(rows, cols[::-1])]
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of order 1-6: random entries, relabelled cyclic groups, and
+    relabelled cyclic groups with one intercalate swapped (Latin loops)."""
+    kind = draw(st.sampled_from(["random", "cyclic", "intercalate"]))
+    # cyclic tables have intercalates at even orders only
+    n = draw(st.sampled_from([2, 4, 6]) if kind == "intercalate" else st.integers(1, 6))
+    if kind == "random":
+        entries = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+        return np.array(entries).reshape(n, n)
+    table = cyclic_table(n)
+    if kind == "intercalate":
+        a, b, h = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), n // 2
+        swap_intercalate(table, [a, (a + h) % n], [b, (b + h) % n])
+    relabel = np.array(draw(st.permutations(range(n))))
+    back = np.argsort(relabel)
+    return relabel[table[np.ix_(back, back)]]
+
+
+def table_oracle(table):
+    """The group axioms by brute force, in the order from_table checks them:
+    ("fails", message) with message None for associativity, else ("group",
+    identity, inverse)."""
+    n = len(table)
+    for g in range(n):
+        if sorted(table[g]) != list(range(n)) or sorted(table[:, g]) != list(range(n)):
+            return "fails", f"table is not a Latin square at row/column {g}"
+    ids = [e for e in range(n) if all(table[e, x] == x == table[x, e] for x in range(n))]
+    if not ids:
+        return "fails", "table has no identity element"
+    e = ids[0]
+    inverse = []
+    for g in range(n):
+        hits = [h for h in range(n) if table[g, h] == e == table[h, g]]
+        if not hits:
+            return "fails", f"element {g} has no two-sided inverse"
+        inverse.append(hits[0])
+    if not np.array_equal(table[table], table[:, table]):
+        return "fails", None
+    return "group", e, inverse
 
 
 def closure_size_oracle(generators, depth=8):
@@ -112,6 +169,19 @@ class TestCloseGroup:
             close_group([rot2(round(2 * np.pi / 5, 4))], tol=1e-3)
         assert 1e-9 < exc.value.distance <= 1e-3
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 1.0, 5.0])
+    def test_tolerance_outside_its_domain(self, tol):
+        with pytest.raises(DomainError):
+            close_group([rot2(np.pi / 2)], tol=tol)
+
+    def test_generator_merged_by_loose_tolerance_is_ambiguity(self):
+        # within tolerance 0.5 of the identity, the C16 generator would
+        # vanish and leave the trivial group
+        with pytest.raises(NumericalAmbiguity) as exc:
+            close_group([rot2(2 * np.pi / 16)], tol=0.5)
+        assert exc.value.distance == pytest.approx(np.sin(np.pi / 8), rel=1e-12)
+        assert exc.value.tol == 0.5
+
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
             close_group([])
@@ -161,6 +231,31 @@ class TestFiniteGroupFromTable:
         with pytest.raises(ValueError, match="associative"):
             FiniteGroup.from_table(table)
 
+    def test_rejects_non_associative_order_1000(self):
+        # C_1000 with one intercalate swapped is Latin, has identity 0 and
+        # two-sided inverses, but no sample of a few triples finds the fault
+        table = cyclic_table(1000)
+        swap_intercalate(table, [7, 507], [11, 511])
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteGroup.from_table(table)
+
+    @given(small_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_oracle(self, table):
+        expected = table_oracle(table)
+        try:
+            group = FiniteGroup.from_table(table)
+        except ValueError as exc:
+            assert expected[0] == "fails"
+            if expected[1] is None:
+                # the triple the message names is one where (ab)c != a(bc)
+                a, b, c = (int(v) for v in re.findall(r"\d+", str(exc)))
+                assert table[table[a, b], c] != table[a, table[b, c]]
+            else:
+                assert str(exc) == expected[1]
+            return
+        assert expected == ("group", group.identity_index, list(group.inverse))
+
 
 class TestOrthogonalAction:
     def test_homomorphism_invariant(self):
@@ -183,6 +278,15 @@ class TestOrthogonalAction:
         swapped = c2.matrices[::-1].copy()
         with pytest.raises(ValueError):
             OrthogonalAction(group=c2.group, dim=1, matrices=swapped)
+
+    def test_rejects_one_turned_matrix_above_order_128(self):
+        c130 = rotation_action(130)
+        mats = c130.matrices.copy()
+        mats[77] = rot2(2e-9) @ mats[77]
+        with pytest.raises(ValueError, match="respect the table") as exc:
+            OrthogonalAction(group=c130.group, dim=2, matrices=mats)
+        g, h = (int(v) for v in re.search(r"\((\d+), (\d+)\)", str(exc.value)).groups())
+        assert 77 in (g, h, c130.group.table[g, h])
 
 
 class TestHelpers:

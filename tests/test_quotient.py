@@ -4,6 +4,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from snowflake_embed import (
+    close_group,
     dihedral_action,
     equivariance_defect,
     euclidean_metric,
@@ -84,6 +85,10 @@ class TestLiftOrbits:
         with pytest.raises(NonFreeOrbit) as exc:
             lift_orbits([[0.0]], reflection_action())
         assert exc.value.orbit == 0
+        # the first close pair in row-major order: orbit 1's elements 0 and 1
+        with pytest.raises(NonFreeOrbit) as exc:
+            lift_orbits([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], rotation_action(4))
+        assert (exc.value.orbit, exc.value.elements) == (1, [0, 1])
 
     def test_rotation_blocks(self):
         config = lift_orbits([[1.0, 0.0], [2.0, 0.0]], rotation_action(4))
@@ -154,6 +159,7 @@ class TestEquivarianceDefect:
     def test_identity_matrix(self):
         config = lift_orbits([[1.0]], reflection_action())
         assert equivariance_defect(np.eye(2), config.action_permutations) == 0.0
+        assert equivariance_defect(np.eye(2), np.zeros((0, 2), dtype=int)) == 0.0
 
     def test_abelian_permutation(self, dense_permutations):
         config = lift_orbits([[1.0, 0.0]], rotation_action(4))
@@ -166,7 +172,9 @@ class TestEquivarianceDefect:
         assert equivariance_defect(result.gram_root, config.action_permutations) <= 1e-10
 
     def test_matches_dense_reference(self, rng, dense_permutations):
-        for action in (dihedral_action(4), rotation_action(5)):
+        # the hyperoctahedral group of order 48: signed permutations of E^3
+        b3 = close_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])])
+        for action in (dihedral_action(4), rotation_action(5), b3):
             config = free_reps(rng, action, 3)
             perms = config.action_permutations
             mats = dense_permutations(config)
@@ -175,6 +183,10 @@ class TestEquivarianceDefect:
             assert equivariance_defect(generic, perms) > 0.0
             for T in (generic, qng_embed(config, 0.5).gram_root):
                 assert equivariance_defect(T, perms) == dense_defect(T, mats)
+        # a group whose action on the indices is not free: 2 and 3 are fixed
+        perms = np.array([[0, 1, 2, 3], [1, 0, 2, 3]])
+        A = rng.normal(size=(4, 4))
+        assert equivariance_defect(A, perms) == dense_defect(A, [np.eye(4)[:, s] for s in perms])
 
     def test_dimension_mismatch(self):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
@@ -215,6 +227,7 @@ class TestQngEmbed:
             top = float(result.spectrum[0])
             zeros = int(np.sum(result.spectrum <= 1e-9 * top))
             assert zeros == 1
+            assert result.zero_eigenvalues == 1
 
     def test_equivariant_placement(self, dense_permutations):
         # the lift of (orbit k, element h) is pi(h) applied to point k
