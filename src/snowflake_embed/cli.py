@@ -63,24 +63,26 @@ def _load_json(path: Path) -> dict:
 def _load_table(path: Path, key: str) -> np.ndarray:
     """A 2-d array from JSON ({key: [[...]]}) or CSV (one row per line)."""
     if path.suffix.lower() == ".json":
-        obj = _load_json(path)
-        try:
-            data = obj[key]
-        except (KeyError, TypeError):
-            raise InputError(f"{path}: expected a JSON object with a {key!r} field")
-    else:
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise InputError(f"{path}: {exc}")
-        obj = {}
+        return _json_table(path, _load_json(path), key)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
+
+
+def _json_table(path: Path, obj, key: str) -> np.ndarray:
+    """The {key: [[...]]} table of ``obj``, the decoded JSON file at ``path``."""
+    try:
+        data = obj[key]
+    except (KeyError, TypeError):
+        raise InputError(f"{path}: expected a JSON object with a {key!r} field")
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
     if arr.ndim != 2:
         raise InputError(f"{path}: expected a 2-d array, got shape {arr.shape}")
-    declared = obj.get("n") if isinstance(obj, dict) else None
+    declared = obj.get("n")
     if declared is not None and _json_number(path, "n", declared, int) != arr.shape[0]:
         raise InputError(f"{path}: declared n = {declared} but found {arr.shape[0]} rows")
     return arr
@@ -104,6 +106,7 @@ def _load_metric_matrix(path: Path) -> tuple[np.ndarray, bool]:
                 return np.atleast_2d(np.asarray(obj["points"], dtype=float)), True
             except (TypeError, ValueError) as exc:
                 raise InputError(f"{path}: {exc}")
+        return _json_table(path, obj, "distances"), False
     return _load_table(path, "distances"), False
 
 

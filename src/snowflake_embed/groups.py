@@ -101,19 +101,21 @@ class OrthogonalAction:
             raise DimensionMismatch(
                 f"expected {self.group.order} matrices of size {self.dim}, got {mats.shape}"
             )
+        # each gate reads "not defect <= limit", so a nan defect fails it
         eye = np.eye(self.dim)
         defects = np.abs(mats.transpose(0, 2, 1) @ mats - eye).max(axis=(1, 2))
-        g = int(np.argmax(defects > ORTHOGONALITY_TOL))
-        if defects[g] > ORTHOGONALITY_TOL:
+        g = int(np.argmin(defects <= ORTHOGONALITY_TOL))
+        if not defects[g] <= ORTHOGONALITY_TOL:
             raise NotOrthogonal(g, defects[g])
-        if np.abs(mats[self.group.identity_index] - eye).max() > ORTHOGONALITY_TOL:
+        if not np.abs(mats[self.group.identity_index] - eye).max() <= ORTHOGONALITY_TOL:
             raise ValueError("identity element is not realized by the identity matrix")
 
         # one row of the table at a time keeps the temporaries at order m^2
         for g, row in enumerate(self.group.table):
-            defects = np.abs(mats[row] - mats[g] @ mats).max(axis=(1, 2))
-            h = int(np.argmax(defects > HOMOMORPHISM_TOL))
-            if defects[h] > HOMOMORPHISM_TOL:
+            defects = np.abs(mats[row] - mats[g] @ mats)
+            if not defects.max() <= HOMOMORPHISM_TOL:  # one flat reduction per row that holds
+                defects = defects.max(axis=(1, 2))
+                h = int(np.argmin(defects <= HOMOMORPHISM_TOL))
                 raise ValueError(f"matrices do not respect the table at ({g}, {h}): "
                                  f"defect {defects[h]!r}")
         mats = mats.copy()
@@ -121,22 +123,69 @@ class OrthogonalAction:
         object.__setattr__(self, "matrices", mats)
 
 
-def _identify(stack: np.ndarray, candidates: np.ndarray, tol: float) -> np.ndarray:
-    """Index in ``stack`` of each candidate, -1 if new, ambiguity if unclear.
-
-    Candidates are judged in order: the first one that is not within ``tol``
-    of its nearest element raises NumericalAmbiguity if it lies in the band
-    (tol, 10 tol].
-    """
-    # entry by entry, so temporaries stay (candidates, stack) in size
-    dist = np.zeros((len(candidates), len(stack)))
-    for c, s in zip(candidates.reshape(len(candidates), -1).T, stack.reshape(len(stack), -1).T):
+def _distances(candidates: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Entrywise max distance of each candidate to each element, shape
+    (candidates, elements); entry by entry, so temporaries stay that size."""
+    dist = np.zeros((len(candidates), len(elements)))
+    for c, s in zip(candidates.reshape(len(candidates), -1).T,
+                    elements.reshape(len(elements), -1).T):
         np.maximum(dist, np.abs(c[:, None] - s[None]), out=dist)
-    best = dist.min(axis=1)
-    new = best > tol
-    if new.any() and best[new.argmax()] <= 10.0 * tol:
-        raise NumericalAmbiguity(best[new.argmax()], tol)
-    return np.where(new, -1, dist.argmin(axis=1))
+    return dist
+
+
+#: Products per block of the multiplication table: (rows, order, m, m) stays small.
+_TABLE_BLOCK = 1 << 16
+
+
+def _multiplication_table(stack: np.ndarray, tol: float) -> np.ndarray:
+    """table[i, h]: the element of ``stack`` within ``tol`` of stack[i] @ stack[h].
+
+    The elements lie more than 10 tol apart, so that element is unique, and it
+    is the nearest.  The first product in row-major order without one raises
+    NumericalAmbiguity with its distance to the nearest element if that lies in
+    (tol, 10 tol], else with inf.
+
+    Candidates come from sorted keys w . (g v), the image of a generic point v
+    read along a generic direction w.  With |w|_1 |v|_1 = 1 a key moves by at
+    most the entrywise distance, so every element within 10 tol of a product
+    has its key within 10 tol (plus round-off) of the product's; only those
+    are compared entry by entry.  The cost is about order^2 (m^3 + log order).
+    """
+    order, m = stack.shape[:2]
+    rng = np.random.default_rng(0)
+    coeffs = np.outer(rng.standard_normal(m), rng.standard_normal(m)).ravel()
+    coeffs /= np.abs(coeffs).sum()
+    entries = stack.reshape(order, -1)
+    keys = entries @ coeffs
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    # entries are at most 1 + O(eps), so each key is off by at most m^2 eps
+    reach = 10.0 * tol + 16.0 * m * m * np.finfo(float).eps
+
+    table = np.empty((order, order), dtype=int)
+    rows = max(1, _TABLE_BLOCK // order)
+    for start in range(0, order, rows):
+        prods = (stack[start:start + rows, None] @ stack).reshape(-1, m * m)
+        q = prods @ coeffs
+        lo = np.searchsorted(sorted_keys, q - reach, side="left")
+        hi = np.searchsorted(sorted_keys, q + reach, side="right")
+        best = np.full(len(prods), np.inf)
+        match = np.zeros(len(prods), dtype=int)
+        for k in range(int((hi - lo).max(initial=0))):
+            p = np.flatnonzero(lo + k < hi)
+            cand = by_key[lo[p] + k]
+            dist = np.zeros(len(p))
+            for e in range(m * m):  # entry by entry: numpy reduces short rows slowly
+                np.maximum(dist, np.abs(prods[p, e] - entries[cand, e]), out=dist)
+            closer = dist < best[p]
+            best[p[closer]] = dist[closer]
+            match[p[closer]] = cand[closer]
+        missed = best > tol
+        if missed.any():
+            nearest = best[missed.argmax()]
+            raise NumericalAmbiguity(nearest if nearest <= 10.0 * tol else np.inf, tol)
+        table[start:start + rows] = match.reshape(-1, order)
+    return table
 
 
 def close_group(
@@ -165,36 +214,40 @@ def close_group(
         if g.shape != (m, m):
             raise DimensionMismatch(f"generator {idx} has shape {g.shape}, expected ({m}, {m})")
         defect = np.abs(g.T @ g - np.eye(m)).max()
-        if defect > tol:
+        if not defect <= tol:  # also catches nan
             raise NotOrthogonal(idx, defect)
         u, _, vt = np.linalg.svd(g)
         gens[idx] = u @ vt
+    gens = np.stack(gens)
 
     # breadth-first: stack[i] is expanded once every element before it has
-    # been; stack[:order] is what each new product is identified against
+    # been, by all generators at once; each product is identified against
+    # stack[:order], including the products of its batch admitted before it
     stack = np.empty((max(max_order, 1), m, m))
     stack[0] = np.eye(m)
     order = 1
     i = 0
     while i < order:
-        for g in gens:
-            prod = stack[i] @ g
-            if _identify(stack[:order], prod[None], tol)[0] < 0:
+        prods = stack[i] @ gens
+        best = _distances(prods, stack[:order]).min(axis=1)
+        batch = order
+        # a product within tol of an earlier element stays within tol of it
+        for j in np.flatnonzero(best > tol):
+            nearest = np.abs(stack[batch:order] - prods[j]).max(axis=(1, 2)).min(initial=best[j])
+            if nearest > tol:
+                if nearest <= 10.0 * tol:
+                    raise NumericalAmbiguity(nearest, tol)
                 if order >= max_order:
                     raise OrderExceeded(max_order)
-                stack[order] = prod
+                stack[order] = prods[j]
                 order += 1
         i += 1
 
     stack = stack[:order]
-    gap = max(np.abs(stack - g).max(axis=(1, 2)).min() for g in gens)
+    gap = _distances(gens, stack).min(axis=1).max()
     if gap > HOMOMORPHISM_TOL:
         raise NumericalAmbiguity(gap, tol)
-    table = np.empty((order, order), dtype=int)
-    for i in range(order):
-        table[i] = _identify(stack, stack[i] @ stack, tol)
-        if table[i].min() < 0:
-            raise NumericalAmbiguity(np.inf, tol)
+    table = _multiplication_table(stack, tol)
     try:
         return OrthogonalAction(group=FiniteGroup.from_table(table), dim=m, matrices=stack)
     except ValueError as exc:

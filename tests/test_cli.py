@@ -99,6 +99,19 @@ class TestValidate:
             main(["validate"])
         assert exc.value.code == 4
 
+    @pytest.mark.parametrize("argv", [["validate"], ["negtype"], ["embed", "--alpha", "0.5"]])
+    def test_matrix_file_decoded_once(self, argv, collinear_json, monkeypatch):
+        loads = []
+
+        def counting_load(fh, **kwargs):
+            loads.append(fh.name)
+            return json_load(fh, **kwargs)
+
+        json_load = json.load
+        monkeypatch.setattr(json, "load", counting_load)
+        assert main([argv[0], collinear_json, *argv[1:]]) == 0
+        assert loads == [collinear_json]
+
     def test_non_square_csv_reports(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("0,1,2\n1,0,1\n")
@@ -499,6 +512,16 @@ class TestQuotientEmbed:
         assert main(["quotient-embed", path, reps, "--json", str(report_path)]) == 4
         assert not report_path.exists()
         assert "tolerance" in capsys.readouterr().err
+
+    def test_nan_generator_fails_with_report(self, tmp_path, capsys):
+        group = write_json(tmp_path / "nan.json", {"dim": 1, "generators": [[[float("nan")]]]})
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", group, reps, "--json", str(report_path)]) == 2
+        failure = json.loads(report_path.read_text())["payload"]["failure"]
+        assert failure["error"] == "NotOrthogonal"
+        assert failure["index"] == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_generator_merged_by_loose_tolerance_fails_with_report(self, tmp_path):
         # the C16 generator lies within 0.5 of the identity, which would

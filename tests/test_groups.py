@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from snowflake_embed import (
@@ -17,6 +17,7 @@ from snowflake_embed.errors import (
     NotOrthogonal,
     NumericalAmbiguity,
     OrderExceeded,
+    SnowflakeError,
 )
 from snowflake_embed.groups import FiniteGroup, OrthogonalAction
 
@@ -110,6 +111,62 @@ def closure_size_oracle(generators, depth=8):
     return len(seen)
 
 
+B3_GENERATORS = [np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])]
+
+
+def b3_elements():
+    """The 48 signed permutation matrices of E^3."""
+    perms = [np.eye(3)[list(p)] for p in
+             ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))]
+    return [np.diag([a, b, c]) @ p for p in perms
+            for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)]
+
+
+@st.composite
+def closure_inputs(draw):
+    """Generators of C_k, D_k (k <= 40) or B3, conjugated by a random
+    orthogonal matrix, in one of several list styles, with a tolerance and a
+    max_order; some carry a generator turned by a few tolerances."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "b3"]))
+    if kind == "b3":
+        gens, elements = B3_GENERATORS, b3_elements()
+    else:
+        k = draw(st.integers(1, 40))
+        rots = [rot2(2 * np.pi * j / k) for j in range(k)]
+        gens, elements = [rot2(2 * np.pi / k)], rots
+        if kind == "dihedral":
+            gens, elements = gens + [mirror2(0.0)], rots + [r @ mirror2(0.0) for r in rots]
+    m = gens[0].shape[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    style = draw(st.sampled_from(["generators", "shuffled", "duplicated", "matrices"]))
+    mats = list(elements if style == "matrices" else gens)
+    if style == "duplicated":
+        mats += [mats[i] for i in draw(st.lists(st.integers(0, len(mats) - 1), min_size=1,
+                                                max_size=4))]
+    if style in ("shuffled", "matrices"):
+        mats = [mats[i] for i in draw(st.permutations(range(len(mats))))]
+    tol = draw(st.sampled_from([1e-8, 1e-6, 1e-3]))
+    max_order = draw(st.sampled_from([1024, draw(st.integers(1, 2 * len(elements)))]))
+    if draw(st.booleans()):
+        # a copy of one generator turned by 0.5 to 20 tolerances: merged,
+        # in the ambiguity band, or a new element of an infinite group
+        turn = np.eye(m)
+        turn[:2, :2] = rot2(tol * draw(st.floats(0.5, 20.0)))
+        mats.append(mats[draw(st.integers(0, len(mats) - 1))] @ turn)
+        max_order = min(max_order, 2 * len(elements))
+    return [q @ g @ q.T for g in mats], tol, max_order
+
+
+def closure_outcome(close, gens, tol, max_order):
+    """The bytes of the matrices and the table, or the exception's type and args."""
+    try:
+        action = close(gens, tol=tol, max_order=max_order)
+    except SnowflakeError as exc:
+        return type(exc), exc.args
+    return action.matrices.shape, action.matrices.tobytes(), action.group.table.tobytes()
+
+
 class TestCloseGroup:
     def test_sign_flip_gives_c2(self):
         action = close_group([np.array([[-1.0]])])
@@ -181,6 +238,38 @@ class TestCloseGroup:
             close_group([rot2(2 * np.pi / 16)], tol=0.5)
         assert exc.value.distance == pytest.approx(np.sin(np.pi / 8), rel=1e-12)
         assert exc.value.tol == 0.5
+
+    def test_nan_generator_is_not_orthogonal(self):
+        with pytest.raises(NotOrthogonal) as exc:
+            close_group([rot2(np.pi / 2), np.array([[np.nan, 0.0], [0.0, 1.0]])])
+        assert exc.value.index == 1
+        assert np.isnan(exc.value.defect)
+
+    @pytest.mark.parametrize("gens", [[rot2(2 * np.pi / 16)],
+                                      [rot2(2 * np.pi / 32), mirror2(0.0)],
+                                      B3_GENERATORS, b3_elements()])
+    def test_matches_reference_on_fixed_groups(self, gens, reference_close_group):
+        assert (closure_outcome(close_group, gens, 1e-8, 1024)
+                == closure_outcome(reference_close_group, gens, 1e-8, 1024))
+
+    def test_table_product_in_ambiguity_band(self, reference_close_group):
+        # two mirrors turned by a few tolerances: the breadth-first search
+        # closes at 14 elements, but a product of two of them that is no
+        # generator product lands in the band (tol, 10 tol] of an element
+        gens = [rot2(2 * np.pi / 7), mirror2(-2.1e-6), mirror2(np.pi / 7 - 2.5e-6)]
+        outcome = closure_outcome(close_group, gens, 1e-6, 1024)
+        assert outcome == closure_outcome(reference_close_group, gens, 1e-6, 1024)
+        with pytest.raises(NumericalAmbiguity) as exc:
+            close_group(gens, tol=1e-6)
+        assert 1e-6 < exc.value.distance <= 1e-5
+
+    @given(case=closure_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_closure(self, case, reference_close_group):
+        # same element order bit for bit, same table, same exception
+        outcome = closure_outcome(close_group, *case)
+        event(outcome[0].__name__ if isinstance(outcome[0], type) else "closed")
+        assert outcome == closure_outcome(reference_close_group, *case)
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +378,13 @@ class TestOrthogonalAction:
         assert 77 in (g, h, c130.group.table[g, h])
 
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(NotOrthogonal) as exc:
+            OrthogonalAction(FiniteGroup.from_table([[0, 1], [1, 0]]), 1, [[[1.0]], [[np.nan]]])
+        assert exc.value.index == 1
+        assert np.isnan(exc.value.defect)
+
+
 class TestHelpers:
     def test_reflection(self):
         action = reflection_action()
@@ -304,6 +400,10 @@ class TestHelpers:
         assert action.group.order == 8
         t = action.group.table
         assert any(t[g, h] != t[h, g] for g in range(8) for h in range(8))
+
+    def test_rotation_1024_table_is_cyclic(self):
+        # breadth-first order lists the powers of the generator
+        assert np.array_equal(rotation_action(1024).group.table, cyclic_table(1024))
 
     def test_trivial(self):
         action = trivial_action(3)

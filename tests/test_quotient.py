@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -25,7 +27,7 @@ from snowflake_embed.errors import (
     VerificationFailure,
 )
 from snowflake_embed.metric import pairwise_distances
-from snowflake_embed.quotient import QuotientConfiguration
+from snowflake_embed.quotient import PairCheck, QuotientConfiguration
 
 
 def free_reps(rng, action, n, low=0.5, high=2.5):
@@ -241,6 +243,24 @@ class TestQngEmbed:
                 via_perm = mats[h] @ result.points[k]
                 direct = base + result.gram_root[:, k * order + h]
                 assert np.allclose(via_perm, direct, atol=1e-12)
+
+    @pytest.mark.parametrize("action", [reflection_action(), rotation_action(16),
+                                        dihedral_action(8)], ids=["c2", "c16", "d8"])
+    def test_report_matches_pair_by_pair(self, action, rng):
+        # the vectorised report gives the floats of one pair at a time
+        config = free_reps(rng, action, 9)
+        result = qng_embed(config, 0.5)
+        perms = config.action_permutations
+        expected = []
+        for i in range(config.n_orbits):
+            for j in range(i + 1, config.n_orbits):
+                reps = config.representatives
+                target = quotient_distance(reps[i], reps[j], action) ** 0.5
+                permuted = result.points[j][perms]
+                achieved = float(np.linalg.norm(permuted - result.points[i][None, :], axis=1).min())
+                expected.append(PairCheck(i, j, target, achieved, abs(achieved - target)))
+        assert result.report == expected
+        assert [row.to_dict() for row in result.report] == [asdict(row) for row in expected]
 
     def test_gram_root_is_psd(self):
         config = lift_orbits([[1.0, 0.4], [2.0, 1.0]], rotation_action(4))
