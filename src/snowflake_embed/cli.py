@@ -89,11 +89,16 @@ def _json_table(path: Path, obj, key: str) -> np.ndarray:
 
 
 def _json_number(path: Path, field: str, value, kind):
-    """``kind(value)`` for a scalar field of an input file, or InputError."""
+    """``kind(value)`` for a scalar field of an input file, or InputError.  An
+    int field takes a JSON number equal to an integer, and no boolean."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}: field {field!r} must be a number, got {value!r}")
+        number = kind(value)
+        if kind is int and (isinstance(value, bool) or number != value):
+            raise ValueError
+        return number
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{path}: field {field!r} must be {what}, got {value!r}")
 
 
 def _load_metric_matrix(path: Path) -> tuple[np.ndarray, bool]:
@@ -393,7 +398,7 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
 
 
 def _tolerance(text: str) -> float:
-    """Type of --tol: one relative tolerance, a number in [0, 1)."""
+    """Type of --tol and --quad-tol: one relative tolerance, a number in [0, 1)."""
     tol = float(text)
     if not 0.0 <= tol < 1.0:  # also rejects nan
         raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
@@ -441,8 +446,8 @@ def _build_parser() -> _Parser:
                    help="half-power a in (0, 1); the identity verified is t**(2a)")
     p.add_argument("--t-grid", default="0.1,0.5,1,2,10",
                    help="comma-separated positive t values")
-    p.add_argument("--quad-tol", type=float, default=1e-6,
-                   help="largest acceptable relative error")
+    p.add_argument("--quad-tol", type=_tolerance, default=1e-6,
+                   help="largest acceptable relative error, in [0, 1)")
     p.add_argument("--json", metavar="FILE")
     p.set_defaults(func=_cmd_schoenberg)
 

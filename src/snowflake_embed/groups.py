@@ -133,61 +133,6 @@ def _distances(candidates: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return dist
 
 
-#: Products per block of the multiplication table: (rows, order, m, m) stays small.
-_TABLE_BLOCK = 1 << 16
-
-
-def _multiplication_table(stack: np.ndarray, tol: float) -> np.ndarray:
-    """table[i, h]: the element of ``stack`` within ``tol`` of stack[i] @ stack[h].
-
-    The elements lie more than 10 tol apart, so that element is unique, and it
-    is the nearest.  The first product in row-major order without one raises
-    NumericalAmbiguity with its distance to the nearest element if that lies in
-    (tol, 10 tol], else with inf.
-
-    Candidates come from sorted keys w . (g v), the image of a generic point v
-    read along a generic direction w.  With |w|_1 |v|_1 = 1 a key moves by at
-    most the entrywise distance, so every element within 10 tol of a product
-    has its key within 10 tol (plus round-off) of the product's; only those
-    are compared entry by entry.  The cost is about order^2 (m^3 + log order).
-    """
-    order, m = stack.shape[:2]
-    rng = np.random.default_rng(0)
-    coeffs = np.outer(rng.standard_normal(m), rng.standard_normal(m)).ravel()
-    coeffs /= np.abs(coeffs).sum()
-    entries = stack.reshape(order, -1)
-    keys = entries @ coeffs
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    # entries are at most 1 + O(eps), so each key is off by at most m^2 eps
-    reach = 10.0 * tol + 16.0 * m * m * np.finfo(float).eps
-
-    table = np.empty((order, order), dtype=int)
-    rows = max(1, _TABLE_BLOCK // order)
-    for start in range(0, order, rows):
-        prods = (stack[start:start + rows, None] @ stack).reshape(-1, m * m)
-        q = prods @ coeffs
-        lo = np.searchsorted(sorted_keys, q - reach, side="left")
-        hi = np.searchsorted(sorted_keys, q + reach, side="right")
-        best = np.full(len(prods), np.inf)
-        match = np.zeros(len(prods), dtype=int)
-        for k in range(int((hi - lo).max(initial=0))):
-            p = np.flatnonzero(lo + k < hi)
-            cand = by_key[lo[p] + k]
-            dist = np.zeros(len(p))
-            for e in range(m * m):  # entry by entry: numpy reduces short rows slowly
-                np.maximum(dist, np.abs(prods[p, e] - entries[cand, e]), out=dist)
-            closer = dist < best[p]
-            best[p[closer]] = dist[closer]
-            match[p[closer]] = cand[closer]
-        missed = best > tol
-        if missed.any():
-            nearest = best[missed.argmax()]
-            raise NumericalAmbiguity(nearest if nearest <= 10.0 * tol else np.inf, tol)
-        table[start:start + rows] = match.reshape(-1, order)
-    return table
-
-
 def close_group(
     generators,
     tol: float = IDENTIFICATION_TOL,
@@ -200,6 +145,16 @@ def close_group(
     Element identification is entrywise within ``tol``, which lies in [0, 1);
     products landing in the band (tol, 10 tol] raise NumericalAmbiguity, as
     does a generator that ``tol`` merges into an element it does not equal.
+    So the elements lie more than 10 tol apart.
+
+    The breadth-first search admits each element as an earlier one times a
+    generator, so the multiplication table follows from its search tree by
+    integer lookups.  Every product stack[g] @ stack[h] is then compared
+    with its entry: within tol, the entry is its unique nearest element.  A
+    product that misses its entry takes the element within tol of it; the
+    first in row-major order without one raises NumericalAmbiguity with its
+    nearest distance if that lies in (tol, 10 tol], else with inf.  The cost
+    is about order^2 (k m^2 + m^3) for k generators on E^m.
     """
     if not 0.0 <= tol < 1.0:
         raise DomainError(f"identification tolerance must lie in [0, 1), got {tol!r}")
@@ -222,32 +177,52 @@ def close_group(
 
     # breadth-first: stack[i] is expanded once every element before it has
     # been, by all generators at once; each product is identified against
-    # stack[:order], including the products of its batch admitted before it
+    # stack[:order], including the products of its batch admitted before it.
+    # right[i, s] is the element identified with stack[i] @ gens[s], and
+    # element j was admitted as stack[parent[j]] @ gens[via[j]]
     stack = np.empty((max(max_order, 1), m, m))
     stack[0] = np.eye(m)
+    right = np.empty((len(stack), len(gens)), dtype=int)
+    parent, via = np.zeros(len(stack), dtype=int), np.zeros(len(stack), dtype=int)
     order = 1
     i = 0
     while i < order:
         prods = stack[i] @ gens
-        best = _distances(prods, stack[:order]).min(axis=1)
+        dist = _distances(prods, stack[:order])
+        best, right[i] = dist.min(axis=1), dist.argmin(axis=1)
         batch = order
         # a product within tol of an earlier element stays within tol of it
-        for j in np.flatnonzero(best > tol):
-            nearest = np.abs(stack[batch:order] - prods[j]).max(axis=(1, 2)).min(initial=best[j])
-            if nearest > tol:
-                if nearest <= 10.0 * tol:
-                    raise NumericalAmbiguity(nearest, tol)
-                if order >= max_order:
-                    raise OrderExceeded(max_order)
-                stack[order] = prods[j]
-                order += 1
+        for s in np.flatnonzero(best > tol):
+            near = np.abs(stack[batch:order] - prods[s]).max(axis=(1, 2))
+            nearest = near.min(initial=best[s])
+            if nearest <= tol:
+                right[i, s] = batch + near.argmin()
+                continue
+            if nearest <= 10.0 * tol:
+                raise NumericalAmbiguity(nearest, tol)
+            if order >= max_order:
+                raise OrderExceeded(max_order)
+            stack[order], right[i, s], parent[order], via[order] = prods[s], order, i, s
+            order += 1
         i += 1
 
     stack = stack[:order]
     gap = _distances(gens, stack).min(axis=1).max()
     if gap > HOMOMORPHISM_TOL:
         raise NumericalAmbiguity(gap, tol)
-    table = _multiplication_table(stack, tol)
+    # g stack[j] = (g stack[parent[j]]) gens[via[j]], column by column
+    table = np.empty((order, order), dtype=int)
+    table[:, 0] = np.arange(order)
+    for j in range(1, order):
+        table[:, j] = right[table[:, parent[j]], via[j]]
+    for g in range(order):
+        prods = stack[g] @ stack
+        for h in np.flatnonzero(np.abs(prods - stack[table[g]]).max(axis=(1, 2)) > tol):
+            dist = np.abs(stack - prods[h]).max(axis=(1, 2))
+            nearest = dist.min()
+            if nearest > tol:
+                raise NumericalAmbiguity(nearest if nearest <= 10.0 * tol else np.inf, tol)
+            table[g, h] = dist.argmin()
     try:
         return OrthogonalAction(group=FiniteGroup.from_table(table), dim=m, matrices=stack)
     except ValueError as exc:

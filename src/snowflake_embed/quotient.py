@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     InvarianceViolation,
+    MetricValidationError,
     NonFreeOrbit,
     OrbitCollision,
     VerificationFailure,
@@ -125,13 +126,15 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
 
     Every orbit must be free and orbits must be disjoint: all n |G| lifted
     points pairwise separated by more than tol times the configuration
-    scale.  Degenerate inputs are hard errors, not limits.
+    scale, which must be finite.  Degenerate inputs are hard errors, not limits.
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     if reps.shape[1] != action.dim:
         raise DimensionMismatch(
             f"representatives in E^{reps.shape[1]} under an action on E^{action.dim}"
         )
+    if not np.isfinite(reps).all():
+        raise MetricValidationError("coordinates must be finite")
     n = reps.shape[0]
     order = action.group.order
     size = n * order
@@ -141,6 +144,8 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
 
     dists = pairwise_distances(lifted)
     scale = float(dists.max())
+    if not np.isfinite(scale):  # distances overflow beyond about 1e154
+        raise MetricValidationError("distances must be finite")
     close = np.triu(dists <= tol * scale, k=1)
     if close.any():
         p, q = divmod(int(close.argmax()), size)

@@ -94,6 +94,20 @@ class TestValidate:
         path = write_json(tmp_path / "odd.json", {"n": "x", "distances": [[0, 1], [1, 0]]})
         assert main(["validate", path]) == 3
 
+    @pytest.mark.parametrize("n, distances", [
+        (3.7, [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+        (True, [[0]]),
+    ])
+    def test_declared_n_not_an_integer(self, n, distances, tmp_path, capsys):
+        path = write_json(tmp_path / "odd.json", {"n": n, "distances": distances})
+        assert main(["validate", path]) == 3
+        assert "field 'n' must be an integer" in capsys.readouterr().err
+
+    def test_declared_n_integral_float_accepted(self, tmp_path):
+        path = write_json(tmp_path / "three.json",
+                          {"n": 3.0, "distances": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]})
+        assert main(["validate", path]) == 0
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["validate"])
@@ -387,6 +401,26 @@ class TestSchoenberg:
         assert "Traceback" not in err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("quad_tol", ["nan", "-1", "1", "inf"])
+    def test_quad_tol_outside_unit_interval_is_usage_error(self, quad_tol, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["schoenberg", "--alpha", "0.5", "--t-grid", "1,2", "--quad-tol", quad_tol,
+                  "--json", str(report_path)])
+        assert exc.value.code == 4
+        assert not report_path.exists()
+        assert "--quad-tol: must lie in [0, 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--quad-tol", "0"], []])
+    def test_quad_tol_in_unit_interval_accepted(self, extra, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = main(["schoenberg", "--alpha", "0.5", "--t-grid", "1,2", *extra,
+                     "--json", str(report_path)])
+        # a zero limit is a valid request that round-off may fail
+        assert code in (0, 2)
+        limit = json.loads(report_path.read_text())["tolerances"]["rel_err_limit"]
+        assert limit == (0.0 if extra else 1e-6)
+
     def test_quadrature_failure_writes_report(self, tmp_path, monkeypatch):
         def nonconvergent(*args, **kwargs):
             raise QuadratureNonconvergence("subdivision budget exhausted")
@@ -478,6 +512,9 @@ class TestQuotientEmbed:
         {"generators": [5]},
         {"generators": [[1, 0]]},
         {"matrices": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]]},
+        # a declared dim is an integer, never truncated to one
+        {"generators": [[[0.0, -1.0], [1.0, 0.0]]], "dim": 2.5},
+        {"generators": [[[-1.0]]], "dim": True},
     ])
     def test_malformed_group_rejected(self, group, tmp_path):
         path = write_json(tmp_path / "group.json", group)
@@ -512,6 +549,22 @@ class TestQuotientEmbed:
         assert main(["quotient-embed", path, reps, "--json", str(report_path)]) == 4
         assert not report_path.exists()
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, message", [
+        (float("nan"), "coordinates must be finite"),
+        (float("inf"), "coordinates must be finite"),
+        (1e200, "distances must be finite"),
+    ])
+    def test_non_finite_representatives_fail_with_report(self, bad, message, tmp_path,
+                                                          capsys):
+        group = write_json(tmp_path / "c4.json",
+                           {"dim": 2, "generators": [[[0.0, -1.0], [1.0, 0.0]]]})
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0, 0.5], [bad, 2.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", group, reps, "--json", str(report_path)]) == 2
+        failure = json.loads(report_path.read_text())["payload"]["failure"]
+        assert (failure["error"], failure["message"]) == ("MetricValidationError", message)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_nan_generator_fails_with_report(self, tmp_path, capsys):
         group = write_json(tmp_path / "nan.json", {"dim": 1, "generators": [[[float("nan")]]]})

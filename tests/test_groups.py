@@ -126,27 +126,38 @@ def b3_elements():
 def closure_inputs(draw):
     """Generators of C_k, D_k (k <= 40) or B3, conjugated by a random
     orthogonal matrix, in one of several list styles, with a tolerance and a
-    max_order; some carry a generator turned by a few tolerances."""
-    kind = draw(st.sampled_from(["cyclic", "dihedral", "b3"]))
+    max_order; some carry a generator turned by a few tolerances.  The loose
+    kind is D_k (k <= 12) from a rotation off by up to 3 tol / k and one or
+    two mirrors turned by up to 6 tol: its products can miss the elements
+    the search tree assigns them, and its table can fail to be a group."""
+    kind = draw(st.sampled_from(["cyclic", "dihedral", "b3", "loose"]))
+    tol = draw(st.sampled_from([1e-8, 1e-6, 1e-3]))
     if kind == "b3":
         gens, elements = B3_GENERATORS, b3_elements()
     else:
-        k = draw(st.integers(1, 40))
+        k = draw(st.integers(1, 12 if kind == "loose" else 40))
         rots = [rot2(2 * np.pi * j / k) for j in range(k)]
         gens, elements = [rot2(2 * np.pi / k)], rots
         if kind == "dihedral":
             gens, elements = gens + [mirror2(0.0)], rots + [r @ mirror2(0.0) for r in rots]
+        elif kind == "loose":
+            # mirror2 moves its entries by twice the turn of its line
+            gens = [rot2(2 * np.pi / k + tol * draw(st.floats(-3.0, 3.0)) / k)]
+            gens += [mirror2(np.pi * draw(st.integers(0, k - 1)) / k
+                             + tol * draw(st.floats(-3.0, 3.0)))
+                     for _ in range(draw(st.integers(1, 2)))]
+            elements = rots + [r @ mirror2(0.0) for r in rots]
     m = gens[0].shape[0]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     q = np.linalg.qr(rng.standard_normal((m, m)))[0]
-    style = draw(st.sampled_from(["generators", "shuffled", "duplicated", "matrices"]))
+    styles = ["generators", "shuffled", "duplicated"] + ["matrices"] * (kind != "loose")
+    style = draw(st.sampled_from(styles))
     mats = list(elements if style == "matrices" else gens)
     if style == "duplicated":
         mats += [mats[i] for i in draw(st.lists(st.integers(0, len(mats) - 1), min_size=1,
                                                 max_size=4))]
     if style in ("shuffled", "matrices"):
         mats = [mats[i] for i in draw(st.permutations(range(len(mats))))]
-    tol = draw(st.sampled_from([1e-8, 1e-6, 1e-3]))
     max_order = draw(st.sampled_from([1024, draw(st.integers(1, 2 * len(elements)))]))
     if draw(st.booleans()):
         # a copy of one generator turned by 0.5 to 20 tolerances: merged,

@@ -22,6 +22,7 @@ from snowflake_embed.errors import (
     DimensionMismatch,
     DomainError,
     InvarianceViolation,
+    MetricValidationError,
     NonFreeOrbit,
     OrbitCollision,
     VerificationFailure,
@@ -103,6 +104,17 @@ class TestLiftOrbits:
         with pytest.raises(OrbitCollision) as exc:
             lift_orbits([[1.0], [-1.0]], reflection_action())
         assert (exc.value.first, exc.value.second) == (0, 1)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "coordinates must be finite"),
+        (np.inf, "coordinates must be finite"),
+        # finite, but the lifted distances overflow: no scale to judge freeness by
+        (1e200, "distances must be finite"),
+        (1e160, "distances must be finite"),
+    ])
+    def test_non_finite_representatives_rejected(self, bad, message):
+        with pytest.raises(MetricValidationError, match=message):
+            lift_orbits([[1.0, 0.5], [bad, 2.0]], rotation_action(4))
 
     def test_regular_permutation_structure(self):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
