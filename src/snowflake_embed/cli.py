@@ -89,11 +89,14 @@ def _json_table(path: Path, obj, key: str) -> np.ndarray:
 
 
 def _json_number(path: Path, field: str, value, kind):
-    """``kind(value)`` for a scalar field of an input file, or InputError.  An
-    int field takes a JSON number equal to an integer, and no boolean."""
+    """``kind(value)`` for a scalar field of an input file, or InputError.  The
+    field takes a JSON number, never a string or a boolean; an int field one
+    equal to an integer."""
     try:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError
         number = kind(value)
-        if kind is int and (isinstance(value, bool) or number != value):
+        if kind is int and number != value:
             raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):

@@ -57,8 +57,10 @@ class FiniteGroup:
         rng = np.arange(order)
         if table.min(initial=0) < 0 or table.max(initial=-1) >= order:
             raise ValueError("table entries must be element indices")
-        latin = ((np.sort(table, axis=1) == rng).all(axis=1)
-                 & (np.sort(table, axis=0) == rng[:, None]).all(axis=0))
+        # seen[0, g, x]: x occurs in row g; seen[1, x, h]: x occurs in column h
+        seen = np.zeros((2, order, order), dtype=bool)
+        seen[0, rng[:, None], table] = seen[1, table, rng] = True
+        latin = seen[0].all(axis=1) & seen[1].all(axis=0)
         if not latin.all():
             raise ValueError(f"table is not a Latin square at row/column {np.argmin(latin)}")
 

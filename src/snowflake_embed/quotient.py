@@ -27,7 +27,7 @@ from .errors import (
     OrbitCollision,
     VerificationFailure,
 )
-from .groups import OrthogonalAction
+from .groups import FiniteGroup, OrthogonalAction
 from .metric import SnowflakeExponent, exponent_value, pairwise_distances
 from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances, spectral_threshold
 
@@ -202,6 +202,74 @@ def _judge_equivariance(M: np.ndarray, perms, limit: float) -> float:
     return defect
 
 
+def _largest_order(group: FiniteGroup) -> tuple[int, int]:
+    """The first element g of largest order r in the table, and r."""
+    rng = np.arange(group.order)
+    power, orders = rng, np.zeros(group.order, dtype=int)  # power[h] = h^k
+    for k in range(1, group.order + 1):
+        orders[(power == group.identity_index) & (orders == 0)] = k
+        if orders.all():
+            break
+        power = group.table[power, rng]
+    g = int(np.argmax(orders))
+    return g, int(orders[g])
+
+
+def _cycles(perm: np.ndarray, r: int) -> np.ndarray:
+    """cycles[s, a] = perm^s(start_a), start_a the least index in the a-th cycle of
+    ``perm``, when every cycle has length r, as in the regular action of an element
+    of order r.  Otherwise, which only a hand-built configuration whose rows
+    disagree with its group reaches, the length-1 cycles of the identity."""
+    powers = [np.arange(perm.size)]
+    for _ in range(r - 1):
+        powers.append(perm[powers[-1]])
+    powers = np.array(powers)
+    starts = np.flatnonzero(powers.min(axis=0) == powers[0])
+    if r * starts.size != perm.size or not np.array_equal(perm[powers[-1]], powers[0]):
+        return powers[:1]
+    return powers[:, starts]
+
+
+def _root(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """V diag(sqrt(lam)) V^H for (stacks of) eigenpairs, negative round-off in lam clipped."""
+    return (V * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+
+
+def _cyclic_root(B: np.ndarray, cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonincreasing spectrum of B, with the exact 0.0 along the all-ones vector, and
+    its symmetric square root T, for B invariant under a permutation g whose
+    M = N / r cycles of length r are the columns of ``cycles``, as ``_cycles`` gives them.
+
+    Along the cycles, (a, s) -> g^s . start_a, B is block-circulant with M x M
+    blocks F_s = B[(a, 0), (b, s)].  Their discrete Fourier transform splits B
+    into the r // 2 + 1 Hermitian blocks of its rfft; block k with 0 < k < r/2
+    stands for its conjugate r - k as well, so its eigenvalues count twice.  Block 0
+    holds the all-ones vector and is restricted to the sum-zero subspace as B was,
+    so that T annihilates that vector exactly; otherwise the trivial eigenvalue (zero
+    only up to round-off) leaks a sqrt(eps)-sized component into every embedded
+    point.  T is the inverse transform of the blockwise roots, so it commutes with g
+    exactly; its other invariances are left to the caller to check.
+    """
+    r, size = cycles.shape[0], cycles.size
+    blocks = np.fft.rfft(B[cycles[0][None, :, None], cycles[:, None, :]], axis=0)
+    half = (r + 1) // 2  # blocks 1 .. half - 1 are complex; block half is real when r is even
+    mu, U = centered_spectrum(np.ascontiguousarray(blocks[0].real))
+    lam, V = np.linalg.eigh(blocks[1:half])
+    nyq, W = np.linalg.eigh(blocks[half:].real)
+    roots = np.empty_like(blocks)
+    roots[0], roots[1:half], roots[half:] = _root(mu, U), _root(lam, V), _root(nyq, W)
+    G = np.fft.irfft(roots, n=r, axis=0)
+    # T[cycles[s, a], cycles[t, b]] = G[t - s mod r, a, b]: built at row s M + a and
+    # column t M + b, then gathered back to the lifted order
+    shift = (np.arange(r)[None, :] - np.arange(r)[:, None]) % r
+    T = G[shift].transpose(0, 2, 1, 3).reshape(size, size)
+    at = np.empty(size, dtype=int)
+    at[cycles.ravel()] = np.arange(size)
+    T = T[at[:, None], at[None, :]]
+    spectrum = np.concatenate([mu, [0.0], lam.ravel(), lam.ravel(), nyq.ravel()])
+    return np.sort(spectrum)[::-1], 0.5 * (T + T.T)
+
+
 def qng_embed(
     Q: QuotientConfiguration,
     a: SnowflakeExponent | float,
@@ -212,6 +280,8 @@ def qng_embed(
     Pipeline: squared snowflaked distances of the lifted points; the induced
     form B = -1/2 P D P and its symmetric square root T, each checked to
     commute with every regular permutation; points ones/N + T e_(k, identity).
+    Spectrum and root are taken blockwise over the cycles of the first element
+    of largest order (``_cyclic_root``), in r-fold smaller eigenproblems.
     The achieved quotient distances (minima over the permutation action) are
     verified against the snowflaked geometric quotient distances pair by
     pair.  Monotonicity of t -> t**alpha makes the minimizing group element
@@ -237,13 +307,8 @@ def qng_embed(
     form_tol = tol * (1.0 + float(np.abs(B).max()))
     _judge_equivariance(B, Q.action_permutations, form_tol)
 
-    # The square root is taken on the sum-zero restriction so that T
-    # annihilates the all-ones vector exactly; otherwise the trivial
-    # eigenvalue of B (zero only up to round-off) leaks a sqrt(eps)-sized
-    # component into every embedded point.
-    mu, U = centered_spectrum(B)
-    T = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
-    T = 0.5 * (T + T.T)
+    g, r = _largest_order(Q.action.group)
+    spectrum, T = _cyclic_root(B, _cycles(Q.action_permutations[g], r))
     # T = sqrt(B), and ||sqrt(A) - sqrt(C)||_2 <= ||A - C||_2**0.5 for A, C >= 0 bounds
     # T's defect by B's limit; one linear in tol fails where B nears singularity
     root_tol = (size * form_tol) ** 0.5
@@ -275,8 +340,6 @@ def qng_embed(
     if not max_err <= verify_tol:
         raise VerificationFailure(max_err, verify_tol, report=report)
 
-    # B is the restricted form plus the exact zero along the all-ones vector
-    spectrum = np.sort(np.append(mu, 0.0))[::-1]
     for arr in (points, T, spectrum):
         arr.flags.writeable = False
     return QngEmbedding(

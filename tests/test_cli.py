@@ -550,6 +550,17 @@ class TestQuotientEmbed:
         assert not report_path.exists()
         assert "tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["1e-3", False])
+    def test_group_tolerance_not_a_number(self, tolerance, tmp_path, capsys):
+        # a JSON string or boolean was read as 1e-3 or 0.0 and exited 0
+        path = write_json(tmp_path / "c4.json", {"dim": 2, "tolerance": tolerance,
+                                                 "generators": [[[0.0, -1.0], [1.0, 0.0]]]})
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0, 0.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", path, reps, "--json", str(report_path)]) == 3
+        assert not report_path.exists()
+        assert "field 'tolerance' must be a number" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bad, message", [
         (float("nan"), "coordinates must be finite"),
         (float("inf"), "coordinates must be finite"),

@@ -28,7 +28,11 @@ from snowflake_embed.errors import (
     VerificationFailure,
 )
 from snowflake_embed.metric import pairwise_distances
+from snowflake_embed.negative_type import centered_spectrum, gram_from_distances, spectral_threshold
 from snowflake_embed.quotient import PairCheck, QuotientConfiguration
+
+#: signed permutations of E^3, the hyperoctahedral group B3 of order 48
+B3_GENERATORS = [np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])]
 
 
 def free_reps(rng, action, n, low=0.5, high=2.5):
@@ -187,7 +191,7 @@ class TestEquivarianceDefect:
 
     def test_matches_dense_reference(self, rng, dense_permutations):
         # the hyperoctahedral group of order 48: signed permutations of E^3
-        b3 = close_group([np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])])
+        b3 = close_group(B3_GENERATORS)
         for action in (dihedral_action(4), rotation_action(5), b3):
             config = free_reps(rng, action, 3)
             perms = config.action_permutations
@@ -349,10 +353,11 @@ class TestQngEmbed:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_root_defect_judged_at_its_scale(self, seed):
-        # C4 on E^2, representatives scaled by 1e6: the root's defect
-        # exceeds the bare tol but not the bound B's limit puts on it
-        reps = np.random.default_rng(seed).standard_normal((6, 2)) * 1e6
-        config = lift_orbits(reps, rotation_action(4))
+        # D4 on E^2, representatives scaled by 1e7: the rotations leave T exactly
+        # invariant, and the mirrors' defect exceeds the bare tol but not the
+        # bound B's limit puts on it
+        reps = np.random.default_rng(seed).standard_normal((6, 2)) * 1e7
+        config = lift_orbits(reps, dihedral_action(4))
         result = qng_embed(config, 0.9)
         D = pairwise_distances(config.lifted) ** 1.8
         J = np.eye(config.size) - 1.0 / config.size
@@ -370,20 +375,66 @@ class TestQngEmbed:
         assert result.equivariance_defect <= result.equivariance_tol
 
     def test_root_invariance_gate(self, monkeypatch):
-        # unequal square roots on one two-dimensional isotypic eigenspace
-        # break the commutation of T while B still commutes
-        from snowflake_embed import quotient
+        # unequal roots on two turned eigenvectors of the first conjugate-pair
+        # block break the mirrors' commutation with T while B still commutes;
+        # the rotations, which the blocks diagonalise, still commute exactly
+        eigh = np.linalg.eigh
 
-        spectrum = quotient.centered_spectrum
+        def turned(H):
+            lam, V = eigh(H)
+            if H.ndim == 3:  # the stacked blocks, not block 0's restriction
+                V = V.copy()
+                a, b = V[0, :, 0].copy(), V[0, :, 1].copy()
+                V[0, :, 0], V[0, :, 1] = (a + b) / np.sqrt(2.0), (a - b) / np.sqrt(2.0)
+            return lam, V
 
-        def uneven(B):
-            mu, U = spectrum(B)
-            return mu * (1.0 + 1e-3 * np.arange(mu.size)), U
-
-        monkeypatch.setattr(quotient, "centered_spectrum", uneven)
-        config = lift_orbits([[1.0, 0.3], [0.2, 2.0]], rotation_action(4))
+        monkeypatch.setattr(np.linalg, "eigh", turned)
+        config = lift_orbits([[1.0, 0.3], [0.2, 2.0]], dihedral_action(4))
         with pytest.raises(InvarianceViolation):
             qng_embed(config, 0.5)
+
+
+def dense_spectrum_and_root(config, alpha):
+    """The dense reference: centered_spectrum of the whole form B, and (U sqrt(mu)) U^T."""
+    D = pairwise_distances(config.lifted) ** (2.0 * alpha)
+    np.fill_diagonal(D, 0.0)
+    mu, U = centered_spectrum(gram_from_distances(D))
+    T = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
+    return np.sort(np.append(mu, 0.0))[::-1], 0.5 * (T + T.T)
+
+
+class TestCyclicBlocks:
+    """Spectrum and root taken blockwise over the cycles of an element of largest order."""
+
+    @pytest.mark.parametrize("action", [
+        rotation_action(5),  # odd r: no real Nyquist block
+        reflection_action(),  # r = 2: block 0 and the Nyquist block only
+        close_group([np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])]),  # Klein four, r = 2
+        dihedral_action(4),
+        dihedral_action(8),
+        close_group(B3_GENERATORS),  # r = 6
+    ], ids=["c5", "c2", "klein", "d4", "d8", "b3"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_matches_dense_reference(self, action, alpha, rng):
+        config = free_reps(rng, action, 3 if action.group.order > 10 else 5)
+        result = qng_embed(config, alpha)
+        spectrum, T = dense_spectrum_and_root(config, alpha)
+        radius = np.abs(spectrum).max()
+        assert np.abs(result.spectrum - spectrum).max() <= 1e-13 * radius
+        assert result.zero_eigenvalues == np.sum(spectrum <= spectral_threshold(spectrum))
+        assert np.abs(result.gram_root - T).max() <= 1e-10 * np.abs(T).max()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_trivial_group_is_the_dense_path(self, alpha, rng):
+        config = lift_orbits(rng.standard_normal((12, 3)), trivial_action(3))
+        result = qng_embed(config, alpha)
+        spectrum, T = dense_spectrum_and_root(config, alpha)
+        assert np.array_equal(result.spectrum, spectrum)
+        assert np.array_equal(result.gram_root, T)
+
+    def test_cyclic_root_is_exactly_invariant(self, rng):
+        for action in (rotation_action(7), rotation_action(16)):
+            assert qng_embed(free_reps(rng, action, 4), 0.5).equivariance_defect == 0.0
 
 
 class TestQuotientProperties:
