@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
@@ -65,8 +66,10 @@ def _load_table(path: Path, key: str) -> np.ndarray:
     if path.suffix.lower() == ".json":
         return _json_table(path, _load_json(path), key)
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy only warns on a file with no data
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (ValueError, UserWarning) as exc:
         raise InputError(f"{path}: {exc}")
 
 

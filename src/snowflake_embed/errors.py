@@ -185,7 +185,7 @@ class InvarianceViolation(SnowflakeError):
     def __init__(self, defect: float, tol: float):
         self.defect, self.tol = float(defect), float(tol)
         super().__init__(
-            f"induced form does not commute with the group action: "
+            f"square root of the induced form does not commute with the group action: "
             f"defect {self.defect!r} exceeds {self.tol!r}"
         )
 

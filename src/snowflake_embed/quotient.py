@@ -4,8 +4,10 @@ embeddings into the canonical quotient target.
 Given representatives of n free orbits under a finite orthogonal group G,
 the orbit-lifted configuration Y (|Y| = n |G|) induces, through its
 snowflaked squared distances, a G-invariant scalar product B on the
-sum-zero subspace of R^(n|G|).  The symmetric square root T of B is an
-explicit equivariant isometry onto the standard structure: placing point k
+sum-zero subspace of R^(n|G|).  G acts by isometries, so those distances are
+gathered from the n x n x |G| orbit distances, and B is invariant by
+construction.  The symmetric square root T of B is an explicit
+equivariant isometry onto the standard structure: placing point k
 at ones/N + T e_(k, identity) inside the coordinate-sum-one hyperplane
 realizes every snowflaked quotient distance as a minimum over the regular
 permutation action.  The verification of that statement ships with the
@@ -15,6 +17,7 @@ embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .errors import (
     VerificationFailure,
 )
 from .groups import FiniteGroup, OrthogonalAction
-from .metric import SnowflakeExponent, exponent_value, pairwise_distances
+from .metric import SnowflakeExponent, exponent_value
 from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances, spectral_threshold
 
 SCALE_NOTE = (
@@ -41,16 +44,14 @@ SCALE_NOTE = (
 
 @dataclass(frozen=True)
 class QuotientConfiguration:
-    """Orbit-lifted point set with block indexing by (orbit, group element).
+    """Free, disjoint orbits with block indexing by (orbit, group element).
 
-    ``lifted`` row k * |G| + h holds h . representatives[k]; the permutation
+    Lifted index k * |G| + h stands for h . representatives[k]; the permutation
     for g sends that index to k * |G| + (g h), the left regular action on
     each block.
     """
 
     representatives: np.ndarray
-    lifted: np.ndarray
-    action_permutations: np.ndarray
     action: OrthogonalAction
 
     @property
@@ -63,7 +64,16 @@ class QuotientConfiguration:
 
     @property
     def size(self) -> int:
-        return self.lifted.shape[0]
+        return self.n_orbits * self.group_order
+
+    @cached_property
+    def action_permutations(self) -> np.ndarray:
+        """perms[g, k * |G| + h] = k * |G| + table[g, h], one row per group element."""
+        order = self.group_order
+        perms = (np.arange(self.n_orbits)[None, :, None] * order
+                 + self.action.group.table[:, None, :]).reshape(order, self.size)
+        perms.flags.writeable = False
+        return perms
 
 
 @dataclass(frozen=True)
@@ -92,9 +102,9 @@ class QngEmbedding:
     configurations and alpha < 1.  That trivial eigenvalue, along the
     all-ones vector, is reported as exactly 0.0; ``zero_eigenvalues`` counts
     those at most ``spectral_threshold(spectrum, tol)``.  ``equivariance_defect``
-    (of T) was judged against ``equivariance_tol`` = (N tol (1 + max |B|))**0.5,
-    and ``max_abs_error`` against ``verification_tol`` = tol * (1 +
-    largest target).
+    (of T) was judged against ``equivariance_tol`` = (N tol (1 + max |B|))**0.5, the
+    square root's bound on the round-off of B's centring, and ``max_abs_error``
+    against ``verification_tol`` = tol * (1 + largest target).
     """
 
     points: np.ndarray
@@ -109,6 +119,21 @@ class QngEmbedding:
     scale_note: str = SCALE_NOTE
 
 
+def _orbit_distances(reps: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """F[k, l, g] = ||g . x_l - x_k|| for the rows x_k of ``reps``.  The lifted distance
+    ||h . x_k - h' . x_l|| is F[k, l, h^-1 h'], and the quotient distance of orbits k
+    and l is the min over g of F[k, l, g].  The squares are summed one coordinate at
+    a time, in pdist's order; a sum that overflows is inf."""
+    images = np.stack([matrices @ x for x in reps])  # images[l, g] = g . x_l
+    sq = np.zeros((len(reps), len(reps), len(matrices)))
+    diff = np.empty_like(sq)
+    with np.errstate(over="ignore"):
+        for c in range(reps.shape[1]):
+            np.subtract(images[None, :, :, c], reps[:, None, None, c], out=diff)
+            sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
+
+
 def quotient_distance(x, y, action: OrthogonalAction) -> float:
     """min over g of ||x - g . y||: the quotient metric between orbits."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -117,58 +142,51 @@ def quotient_distance(x, y, action: OrthogonalAction) -> float:
         raise DimensionMismatch(
             f"points of dimension {x.shape} / {y.shape} under an action on E^{action.dim}"
         )
-    images = action.matrices @ y
-    return float(np.linalg.norm(images - x[None, :], axis=1).min())
+    return float(_orbit_distances(np.stack([x, y]), action.matrices)[0, 1].min())
 
 
 def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> QuotientConfiguration:
-    """Lift orbit representatives to the full configuration Y.
+    """Check that the representatives' orbits lift to a free configuration Y.
 
     Every orbit must be free and orbits must be disjoint: all n |G| lifted
-    points pairwise separated by more than tol times the configuration
-    scale, which must be finite.  Degenerate inputs are hard errors, not limits.
+    points pairwise separated by more than tol times the configuration scale,
+    which must be finite, judged on the orbit distances; the first close pair in
+    row-major lifted order names the failure.  Degenerate inputs are hard errors.
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
+    if not reps.size:
+        raise DimensionMismatch("no representatives: the quotient needs at least one orbit")
     if reps.shape[1] != action.dim:
-        raise DimensionMismatch(
-            f"representatives in E^{reps.shape[1]} under an action on E^{action.dim}"
-        )
+        raise DimensionMismatch(f"representatives in E^{reps.shape[1]} under an action on "
+                                f"E^{action.dim}")
     if not np.isfinite(reps).all():
         raise MetricValidationError("coordinates must be finite")
     n = reps.shape[0]
-    order = action.group.order
-    size = n * order
+    group = action.group
+    order = group.order
 
-    # lifted[k * order + h] = matrices[h] @ reps[k]
-    lifted = np.einsum("hij,kj->khi", action.matrices, reps).reshape(size, action.dim)
-
-    dists = pairwise_distances(lifted)
-    scale = float(dists.max())
+    F = _orbit_distances(reps, action.matrices)
+    scale = float(F.max())
     if not np.isfinite(scale):  # distances overflow beyond about 1e154
         raise MetricValidationError("distances must be finite")
-    close = np.triu(dists <= tol * scale, k=1)
+    close = F <= tol * scale
+    close[np.arange(n), np.arange(n), group.identity_index] = False
     if close.any():
-        p, q = divmod(int(close.argmax()), size)
+        # (k, l, g) and (l, k, g^-1) are one pair, which round-off may judge apart; the
+        # lifted pair ((k, h), (l, h')) is (k, l, h^-1 h')
+        close |= close.transpose(1, 0, 2)[:, :, group.inverse]
+        size = n * order
+        lifted = close[:, :, group.table[group.inverse]].transpose(0, 2, 1, 3).reshape(size, size)
+        p, q = divmod(int(np.triu(lifted, k=1).argmax()), size)
         kp, hp = divmod(p, order)
         kq, hq = divmod(q, order)
         if kp == kq:
             raise NonFreeOrbit(kp, [hp, hq])
         raise OrbitCollision(kp, kq)
 
-    # perms[g, k * order + h] = k * order + table[g, h]
-    perms = (np.arange(n)[None, :, None] * order
-             + action.group.table[:, None, :]).reshape(order, size)
-    perms.flags.writeable = False
-    lifted = lifted.copy()
-    lifted.flags.writeable = False
     reps = reps.copy()
     reps.flags.writeable = False
-    return QuotientConfiguration(
-        representatives=reps,
-        lifted=lifted,
-        action_permutations=perms,
-        action=action,
-    )
+    return QuotientConfiguration(representatives=reps, action=action)
 
 
 def equivariance_defect(T, perms) -> float:
@@ -194,40 +212,16 @@ def _min_norm(diffs: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(diffs, axis=2)).min(axis=1)
 
 
-def _judge_equivariance(M: np.ndarray, perms, limit: float) -> float:
-    """The equivariance defect of M; InvarianceViolation when it exceeds ``limit``."""
-    defect = equivariance_defect(M, perms)
-    if not defect <= limit:
-        raise InvarianceViolation(defect, limit)
-    return defect
-
-
-def _largest_order(group: FiniteGroup) -> tuple[int, int]:
-    """The first element g of largest order r in the table, and r."""
+def _largest_cycle(group: FiniteGroup) -> np.ndarray:
+    """The powers g^0, ..., g^(r - 1) of the first element g of largest order r in the table."""
     rng = np.arange(group.order)
-    power, orders = rng, np.zeros(group.order, dtype=int)  # power[h] = h^k
-    for k in range(1, group.order + 1):
-        orders[(power == group.identity_index) & (orders == 0)] = k
-        if orders.all():
-            break
-        power = group.table[power, rng]
+    powers = [np.full(group.order, group.identity_index), rng]  # powers[k][h] = h^k
+    orders = np.zeros(group.order, dtype=int)
+    while not orders.all():
+        orders[(powers[-1] == group.identity_index) & (orders == 0)] = len(powers) - 1
+        powers.append(group.table[powers[-1], rng])
     g = int(np.argmax(orders))
-    return g, int(orders[g])
-
-
-def _cycles(perm: np.ndarray, r: int) -> np.ndarray:
-    """cycles[s, a] = perm^s(start_a), start_a the least index in the a-th cycle of
-    ``perm``, when every cycle has length r, as in the regular action of an element
-    of order r.  Otherwise, which only a hand-built configuration whose rows
-    disagree with its group reaches, the length-1 cycles of the identity."""
-    powers = [np.arange(perm.size)]
-    for _ in range(r - 1):
-        powers.append(perm[powers[-1]])
-    powers = np.array(powers)
-    starts = np.flatnonzero(powers.min(axis=0) == powers[0])
-    if r * starts.size != perm.size or not np.array_equal(perm[powers[-1]], powers[0]):
-        return powers[:1]
-    return powers[:, starts]
+    return np.array([power[g] for power in powers[:orders[g]]])
 
 
 def _root(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -238,7 +232,7 @@ def _root(lam: np.ndarray, V: np.ndarray) -> np.ndarray:
 def _cyclic_root(B: np.ndarray, cycles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonincreasing spectrum of B, with the exact 0.0 along the all-ones vector, and
     its symmetric square root T, for B invariant under a permutation g whose
-    M = N / r cycles of length r are the columns of ``cycles``, as ``_cycles`` gives them.
+    M = N / r cycles of length r are the columns of ``cycles``, each from its least index.
 
     Along the cycles, (a, s) -> g^s . start_a, B is block-circulant with M x M
     blocks F_s = B[(a, 0), (b, s)].  Their discrete Fourier transform splits B
@@ -277,15 +271,16 @@ def qng_embed(
 ) -> QngEmbedding:
     """Embed the snowflaked orbit space into the canonical quotient target.
 
-    Pipeline: squared snowflaked distances of the lifted points; the induced
-    form B = -1/2 P D P and its symmetric square root T, each checked to
-    commute with every regular permutation; points ones/N + T e_(k, identity).
-    Spectrum and root are taken blockwise over the cycles of the first element
-    of largest order (``_cyclic_root``), in r-fold smaller eigenproblems.
-    The achieved quotient distances (minima over the permutation action) are
-    verified against the snowflaked geometric quotient distances pair by
-    pair.  Monotonicity of t -> t**alpha makes the minimizing group element
-    agree with the geometric minimizer.
+    Pipeline: squared snowflaked distances of the lifted points, gathered from the
+    orbit distances F symmetrised as min(F[k, l, g], F[l, k, g^-1]) and so exactly
+    symmetric and invariant; the induced form B = -1/2 P D P and its symmetric
+    square root T, checked to commute with every regular permutation; points
+    ones/N + T e_(k, identity).  Spectrum and root are taken blockwise over the
+    cycles of the first element of largest order (``_cyclic_root``), in r-fold
+    smaller eigenproblems.  The achieved quotient distances (minima over the
+    permutation action) are verified against the snowflaked geometric quotient
+    distances, min over g of F, pair by pair.  Monotonicity of t -> t**alpha
+    makes the minimizing group element agree with the geometric minimizer.
 
     Requires 0 <= alpha < 1; the alpha = 1 endpoint is excluded because the
     construction relies on the strict positivity of B on the sum-zero
@@ -294,43 +289,44 @@ def qng_embed(
     alpha = exponent_value(a)
     if alpha >= 1.0:
         raise DomainError(f"quotient embedding needs alpha in [0, 1), got {alpha!r}")
+    group = Q.action.group
     order = Q.group_order
     n = Q.n_orbits
     size = Q.size
-    e_idx = Q.action.group.identity_index
+    e_idx = group.identity_index
 
-    # at alpha = 0 the power is 1 everywhere, diagonal included
-    D = pairwise_distances(Q.lifted) ** (2.0 * alpha)
-    np.fill_diagonal(D, 0.0)
+    F = _orbit_distances(Q.representatives, Q.action.matrices)
+    power = np.minimum(F, F.transpose(1, 0, 2)[:, :, group.inverse]) ** (2.0 * alpha)
+    # D[(k, h), (l, h')] = power[k, l, h^-1 h']; at alpha = 0 the power is 1
+    # everywhere, the lifted diagonal included
+    power[np.arange(n), np.arange(n), e_idx] = 0.0
+    D = power[:, :, group.table[group.inverse]].transpose(0, 2, 1, 3).reshape(size, size)
     B = gram_from_distances(D)
 
-    form_tol = tol * (1.0 + float(np.abs(B).max()))
-    _judge_equivariance(B, Q.action_permutations, form_tol)
-
-    g, r = _largest_order(Q.action.group)
-    spectrum, T = _cyclic_root(B, _cycles(Q.action_permutations[g], r))
-    # T = sqrt(B), and ||sqrt(A) - sqrt(C)||_2 <= ||A - C||_2**0.5 for A, C >= 0 bounds
-    # T's defect by B's limit; one linear in tol fails where B nears singularity
-    root_tol = (size * form_tol) ** 0.5
-    defect_T = _judge_equivariance(T, Q.action_permutations, root_tol)
+    cycles = Q.action_permutations[_largest_cycle(group)]
+    spectrum, T = _cyclic_root(B, cycles[:, cycles.min(axis=0) == cycles[0]])
+    # B is invariant up to its centring's round-off, within tol (1 + max |B|), which
+    # ||sqrt(A) - sqrt(C)||_2 <= ||A - C||_2**0.5 for A, C >= 0 turns into T's limit
+    root_tol = (size * (tol * (1.0 + float(np.abs(B).max())))) ** 0.5
+    defect_T = equivariance_defect(T, Q.action_permutations)
+    if not defect_T <= root_tol:
+        raise InvarianceViolation(defect_T, root_tol)
 
     base = np.full(size, 1.0 / size)
     points = base[None, :] + T[:, np.arange(n) * order + e_idx].T
 
-    # orbit i against every j > i at once: |x_i - g x_j| over all g, and
-    # |p_i - pi p_j| over the regular permutations, in (n - i - 1, |G|, .)
-    # blocks; the same operations as quotient_distance and a pair-by-pair
-    # loop, so the same floats
-    images = np.stack([Q.action.matrices @ x for x in Q.representatives])
+    # targets, min over g of |x_i - g x_j|, are quotient_distance's floats; orbit i
+    # against every j > i at once: |p_i - pi p_j| over the regular permutations,
+    # in (n - i - 1, |G|, N) blocks, the same operations as a pair-by-pair loop
+    targets = F.min(axis=2)
     report = []
     for i in range(n - 1):
-        targets = _min_norm(images[i + 1:] - Q.representatives[i])
         # take, unlike fancy indexing, lays the gather out C-contiguous, so
         # each norm sums one contiguous row as it does on a single pair
         permuted = np.take(points[i + 1:], Q.action_permutations, axis=1)
         np.subtract(permuted, points[i], out=permuted)
         achieved = _min_norm(permuted)
-        for j, dist, a in zip(range(i + 1, n), targets.tolist(), achieved.tolist()):
+        for j, dist, a in zip(range(i + 1, n), targets[i, i + 1:].tolist(), achieved.tolist()):
             target = dist ** alpha
             report.append(PairCheck(i, j, target, a, abs(a - target)))
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from snowflake_embed.errors import (DimensionMismatch, DomainError, NotOrthogonal,
-                                    NumericalAmbiguity, OrderExceeded)
+from snowflake_embed.errors import (DimensionMismatch, DomainError, MetricValidationError,
+                                    NonFreeOrbit, NotOrthogonal, NumericalAmbiguity,
+                                    OrbitCollision, OrderExceeded)
 from snowflake_embed.groups import HOMOMORPHISM_TOL, FiniteGroup, OrthogonalAction
+from snowflake_embed.metric import pairwise_distances
 
 
 @pytest.fixture
@@ -69,6 +71,57 @@ def dense_permutations():
         return [eye[:, s] for s in config.action_permutations]
 
     return _dense
+
+
+def _lifted_points(config):
+    """Row k * |G| + h holds h . representatives[k]."""
+    return np.einsum("hij,kj->khi", config.action.matrices,
+                     config.representatives).reshape(config.size, config.action.dim)
+
+
+@pytest.fixture(scope="session")
+def lifted_points():
+    """The orbit-lifted points of a quotient configuration, in its block order."""
+    return _lifted_points
+
+
+def _reference_lift_orbits(reps, action, tol=1e-9):
+    """Freeness and disjointness judged on the Euclidean distances of all
+    n |G| lifted points: the first close pair in row-major order names the
+    failure; otherwise the regular permutations."""
+    reps = np.atleast_2d(np.asarray(reps, dtype=float))
+    if reps.shape[1] != action.dim:
+        raise DimensionMismatch(
+            f"representatives in E^{reps.shape[1]} under an action on E^{action.dim}"
+        )
+    if not np.isfinite(reps).all():
+        raise MetricValidationError("coordinates must be finite")
+    n = reps.shape[0]
+    order = action.group.order
+    size = n * order
+    lifted = np.einsum("hij,kj->khi", action.matrices, reps).reshape(size, action.dim)
+    dists = pairwise_distances(lifted)
+    scale = float(dists.max())
+    if not np.isfinite(scale):
+        raise MetricValidationError("distances must be finite")
+    close = np.triu(dists <= tol * scale, k=1)
+    if close.any():
+        p, q = divmod(int(close.argmax()), size)
+        kp, hp = divmod(p, order)
+        kq, hq = divmod(q, order)
+        if kp == kq:
+            raise NonFreeOrbit(kp, [hp, hq])
+        raise OrbitCollision(kp, kq)
+    return (np.arange(n)[None, :, None] * order
+            + action.group.table[:, None, :]).reshape(order, size)
+
+
+@pytest.fixture(scope="session")
+def reference_lift_orbits():
+    """The freeness scan over the pairwise distances of the lifted points, as it
+    was before the orbit distances: ``lift_orbits`` must raise the same
+    exceptions with the same fields, and otherwise give these permutations."""
+    return _reference_lift_orbits
 
 
 def _reference_identify(stack, candidates, tol):

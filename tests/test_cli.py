@@ -126,6 +126,14 @@ class TestValidate:
         assert main([argv[0], collinear_json, *argv[1:]]) == 0
         assert loads == [collinear_json]
 
+    @pytest.mark.parametrize("text", ["", "# a comment and a blank line\n\n"])
+    def test_csv_without_data_is_parse_error(self, text, tmp_path, capsys, recwarn):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 3
+        assert "input contained no data" in capsys.readouterr().err
+        assert not recwarn.list
+
     def test_non_square_csv_reports(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("0,1,2\n1,0,1\n")
@@ -630,6 +638,15 @@ class TestQuotientEmbed:
         assert failure["error"] == "VerificationFailure"
         assert failure["report"] == [{"i": 0, "j": 1, "target": 1.0, "achieved": 1.5,
                                       "abs_error": 0.5}]
+
+    def test_csv_reps_without_data_is_parse_error(self, tmp_path, capsys, recwarn):
+        group = write_json(tmp_path / "c4.json",
+                           {"dim": 2, "generators": [[[0.0, -1.0], [1.0, 0.0]]]})
+        reps = tmp_path / "empty.csv"
+        reps.write_text("")
+        assert main(["quotient-embed", group, str(reps)]) == 3
+        assert "input contained no data" in capsys.readouterr().err
+        assert not recwarn.list
 
     def test_csv_reps_accepted(self, c2_group_json, tmp_path):
         reps = tmp_path / "reps.csv"

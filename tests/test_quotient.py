@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from snowflake_embed import (
@@ -18,6 +18,7 @@ from snowflake_embed import (
     snowflake_embed,
     trivial_action,
 )
+from snowflake_embed import quotient as quotient_module
 from snowflake_embed.errors import (
     DimensionMismatch,
     DomainError,
@@ -25,14 +26,29 @@ from snowflake_embed.errors import (
     MetricValidationError,
     NonFreeOrbit,
     OrbitCollision,
+    SnowflakeError,
     VerificationFailure,
 )
+from snowflake_embed.groups import FiniteGroup, OrthogonalAction
 from snowflake_embed.metric import pairwise_distances
 from snowflake_embed.negative_type import centered_spectrum, gram_from_distances, spectral_threshold
-from snowflake_embed.quotient import PairCheck, QuotientConfiguration
+from snowflake_embed.quotient import PairCheck
 
 #: signed permutations of E^3, the hyperoctahedral group B3 of order 48
 B3_GENERATORS = [np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])]
+#: the Klein four group of the two coordinate mirrors of E^2
+KLEIN_GENERATORS = [np.diag([-1.0, 1.0]), np.diag([1.0, -1.0])]
+#: C9 shifting the coordinates of E^9, where norms of 9 terms are summed pairwise
+C9_SHIFT = [np.eye(9)[np.roll(np.arange(9), 1)]]
+
+
+def reindexed(action, order):
+    """The same action with its elements listed in ``order``."""
+    order = np.asarray(order)
+    position = np.argsort(order)
+    table = position[action.group.table[order[:, None], order[None, :]]]
+    return OrthogonalAction(group=FiniteGroup.from_table(table), dim=action.dim,
+                            matrices=action.matrices[order])
 
 
 def free_reps(rng, action, n, low=0.5, high=2.5):
@@ -83,10 +99,10 @@ class TestQuotientDistance:
 
 
 class TestLiftOrbits:
-    def test_reflection_two_orbits(self):
+    def test_reflection_two_orbits(self, lifted_points):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
         assert config.size == 4
-        assert np.array_equal(config.lifted.ravel(), [1.0, -1.0, 2.0, -2.0])
+        assert np.array_equal(lifted_points(config).ravel(), [1.0, -1.0, 2.0, -2.0])
 
     def test_fixed_point_is_non_free(self):
         with pytest.raises(NonFreeOrbit) as exc:
@@ -97,16 +113,30 @@ class TestLiftOrbits:
             lift_orbits([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], rotation_action(4))
         assert (exc.value.orbit, exc.value.elements) == (1, [0, 1])
 
-    def test_rotation_blocks(self):
+    def test_rotation_blocks(self, lifted_points):
         config = lift_orbits([[1.0, 0.0], [2.0, 0.0]], rotation_action(4))
         assert config.size == 8
         # block k occupies rows 4k..4k+3 and is one full orbit
-        first = config.lifted[:4]
+        first = lifted_points(config)[:4]
         assert sorted(np.round(np.linalg.norm(first, axis=1), 12)) == [1.0] * 4
+
+    @pytest.mark.parametrize("reps", [np.empty((0, 2)), np.empty((0, 2)).tolist()])
+    def test_no_representatives(self, reps):
+        with pytest.raises(DimensionMismatch, match="at least one orbit"):
+            lift_orbits(reps, rotation_action(4))
 
     def test_colliding_representatives(self):
         with pytest.raises(OrbitCollision) as exc:
             lift_orbits([[1.0], [-1.0]], reflection_action())
+        assert (exc.value.first, exc.value.second) == (0, 1)
+
+    def test_collision_seen_one_way_round(self):
+        # at tol = 0, y is the image of x under a fifth of a turn to the bit, while
+        # turning y back can miss x by round-off: the pair must still collide
+        action = rotation_action(5)
+        x = np.array([0.1257302210933933, -0.1321048632913019])
+        with pytest.raises(OrbitCollision) as exc:
+            lift_orbits([x, (action.matrices @ x)[1]], action, tol=0.0)
         assert (exc.value.first, exc.value.second) == (0, 1)
 
     @pytest.mark.parametrize("bad, message", [
@@ -130,6 +160,66 @@ class TestLiftOrbits:
                     assert config.action_permutations[g][k * order + h] == (
                         k * order + table[g, h]
                     )
+
+
+#: actions whose mirror axes and origin meet the half-integer grid; the last
+#: lists D4's elements from its quarter turn on, so that the identity is the last
+LIFT_ACTIONS = [reflection_action(), rotation_action(4), dihedral_action(4), dihedral_action(3),
+                close_group(KLEIN_GENERATORS), close_group(B3_GENERATORS),
+                reindexed(dihedral_action(4), np.roll(np.arange(8), -1))]
+
+
+@st.composite
+def orbit_representatives(draw):
+    """An action and representatives on the half-integer grid (origin and mirror
+    axes included), some of them images of others under a group element."""
+    action = draw(st.sampled_from(LIFT_ACTIONS))
+    coord = st.integers(-4, 4).map(lambda v: v / 2.0)
+    reps = [np.array(p) for p in draw(st.lists(st.tuples(*[coord] * action.dim),
+                                               min_size=1, max_size=4))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(reps) - 1))
+        g = draw(st.integers(0, action.group.order - 1))
+        reps.insert(draw(st.integers(0, len(reps))), action.matrices[g] @ reps[k])
+    return action, np.array(reps)
+
+
+def lifted_permutations(reps, action):
+    return lift_orbits(reps, action).action_permutations
+
+
+def lift_outcome(lift, reps, action):
+    """The permutations, or the exception raised with its fields."""
+    try:
+        return "ok", np.asarray(lift(reps, action)).tolist()
+    except SnowflakeError as exc:
+        return type(exc).__name__, str(exc), vars(exc)
+
+
+class TestLiftOrbitsReference:
+    """Freeness judged on the orbit distances against the scan over all lifted pairs."""
+
+    @given(case=orbit_representatives())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lifted_scan(self, case, reference_lift_orbits):
+        action, reps = case
+        outcome = lift_outcome(lifted_permutations, reps, action)
+        event(outcome[0])
+        assert outcome == lift_outcome(reference_lift_orbits, reps, action)
+
+    @pytest.mark.parametrize("reps", [
+        [[0.0, 0.0]],
+        [[1.0, 1.0], [2.0, 0.0]],
+        [[2.0, 1.0], [1.0, 2.0]],
+        [[2.0, 1.0], [0.5, 0.0], [-1.0, 2.0]],
+        [[2.0, 1.0], [1.5, 0.5], [2.0, 1.0]],
+    ])
+    @pytest.mark.parametrize("action", [LIFT_ACTIONS[2], LIFT_ACTIONS[-1]],
+                             ids=["d4", "d4-identity-last"])
+    def test_fixed_cases(self, action, reps, reference_lift_orbits):
+        outcome = lift_outcome(lifted_permutations, reps, action)
+        assert outcome == lift_outcome(reference_lift_orbits, reps, action)
+        assert outcome[0] in ("NonFreeOrbit", "OrbitCollision")
 
 
 class TestRegularPermutations:
@@ -157,15 +247,14 @@ class TestRegularPermutations:
             for h in range(6):
                 assert np.array_equal(perms[g][perms[h]], perms[table[g, h]])
 
-    def test_permutations_match_geometry(self):
+    def test_permutations_match_geometry(self, lifted_points):
         # applying the group element to all lifted points permutes them
         # exactly as the regular permutation claims
         config = lift_orbits([[1.0, 0.3], [2.2, -0.5]], rotation_action(3))
+        lifted = lifted_points(config)
         for g in range(3):
-            moved = config.lifted @ config.action.matrices[g].T
-            assert np.allclose(
-                moved, config.lifted[config.action_permutations[g]], atol=1e-12
-            )
+            moved = lifted @ config.action.matrices[g].T
+            assert np.allclose(moved, lifted[config.action_permutations[g]], atol=1e-12)
 
 
 def dense_defect(T, mats):
@@ -317,33 +406,18 @@ class TestQngEmbed:
             with pytest.raises(DomainError):
                 qng_embed(config, bad)
 
-    def test_invariance_gate(self):
-        # a configuration whose lifted points do not respect the claimed
-        # permutations must be rejected at the commutation check
-        good = lift_orbits([[1.0], [2.0]], reflection_action())
-        tampered = QuotientConfiguration(
-            representatives=good.representatives,
-            lifted=np.array([[1.0], [-1.0], [2.0], [-2.7]]),
-            action_permutations=good.action_permutations,
-            action=good.action,
-        )
-        with pytest.raises(InvarianceViolation):
-            qng_embed(tampered, 0.5)
-
-    def test_verification_gate(self):
-        # identity-only permutations pass the commutation check trivially
-        # but cannot realize the quotient distances
-        good = lift_orbits([[1.0], [-1.5]], reflection_action())
-        lazy_perms = np.stack([np.arange(4), np.arange(4)])
-        tampered = QuotientConfiguration(
-            representatives=good.representatives,
-            lifted=good.lifted,
-            action_permutations=lazy_perms,
-            action=good.action,
-        )
+    def test_verification_gate(self, monkeypatch):
+        # a root scaled by 1.01 still commutes with the action, but every
+        # achieved distance misses its target by about 1%
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: 1.01 * irfft(*args, **kwargs))
+        config = lift_orbits([[1.0], [-1.5], [3.0]], reflection_action())
         with pytest.raises(VerificationFailure) as exc:
-            qng_embed(tampered, 0.5)
-        assert exc.value.report is not None
+            qng_embed(config, 0.5)
+        report = exc.value.report
+        assert [(row.i, row.j) for row in report] == [(0, 1), (0, 2), (1, 2)]
+        assert all(row.abs_error > 1e-3 for row in report)
+        assert exc.value.max_abs_error == max(row.abs_error for row in report)
 
     def test_single_orbit_trivial_group(self):
         config = lift_orbits([[2.0]], trivial_action(1))
@@ -352,14 +426,14 @@ class TestQngEmbed:
         assert result.report == []
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_root_defect_judged_at_its_scale(self, seed):
+    def test_root_defect_judged_at_its_scale(self, seed, lifted_points):
         # D4 on E^2, representatives scaled by 1e7: the rotations leave T exactly
         # invariant, and the mirrors' defect exceeds the bare tol but not the
-        # bound B's limit puts on it
+        # bound that B's centring round-off puts on it
         reps = np.random.default_rng(seed).standard_normal((6, 2)) * 1e7
         config = lift_orbits(reps, dihedral_action(4))
         result = qng_embed(config, 0.9)
-        D = pairwise_distances(config.lifted) ** 1.8
+        D = pairwise_distances(lifted_points(config)) ** 1.8
         J = np.eye(config.size) - 1.0 / config.size
         B = -0.5 * J @ D @ J
         limit = (config.size * 1e-9 * (1.0 + np.abs(B).max())) ** 0.5
@@ -394,9 +468,10 @@ class TestQngEmbed:
             qng_embed(config, 0.5)
 
 
-def dense_spectrum_and_root(config, alpha):
-    """The dense reference: centered_spectrum of the whole form B, and (U sqrt(mu)) U^T."""
-    D = pairwise_distances(config.lifted) ** (2.0 * alpha)
+def dense_spectrum_and_root(lifted, alpha):
+    """The dense reference: centered_spectrum of the whole form B of the lifted
+    points, and (U sqrt(mu)) U^T."""
+    D = pairwise_distances(lifted) ** (2.0 * alpha)
     np.fill_diagonal(D, 0.0)
     mu, U = centered_spectrum(gram_from_distances(D))
     T = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
@@ -415,26 +490,63 @@ class TestCyclicBlocks:
         close_group(B3_GENERATORS),  # r = 6
     ], ids=["c5", "c2", "klein", "d4", "d8", "b3"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
-    def test_matches_dense_reference(self, action, alpha, rng):
+    def test_matches_dense_reference(self, action, alpha, rng, lifted_points):
         config = free_reps(rng, action, 3 if action.group.order > 10 else 5)
         result = qng_embed(config, alpha)
-        spectrum, T = dense_spectrum_and_root(config, alpha)
+        spectrum, T = dense_spectrum_and_root(lifted_points(config), alpha)
         radius = np.abs(spectrum).max()
         assert np.abs(result.spectrum - spectrum).max() <= 1e-13 * radius
         assert result.zero_eigenvalues == np.sum(spectrum <= spectral_threshold(spectrum))
         assert np.abs(result.gram_root - T).max() <= 1e-10 * np.abs(T).max()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
-    def test_trivial_group_is_the_dense_path(self, alpha, rng):
+    def test_trivial_group_is_the_dense_path(self, alpha, rng, lifted_points):
         config = lift_orbits(rng.standard_normal((12, 3)), trivial_action(3))
         result = qng_embed(config, alpha)
-        spectrum, T = dense_spectrum_and_root(config, alpha)
+        spectrum, T = dense_spectrum_and_root(lifted_points(config), alpha)
         assert np.array_equal(result.spectrum, spectrum)
         assert np.array_equal(result.gram_root, T)
 
     def test_cyclic_root_is_exactly_invariant(self, rng):
         for action in (rotation_action(7), rotation_action(16)):
             assert qng_embed(free_reps(rng, action, 4), 0.5).equivariance_defect == 0.0
+
+
+class TestLiftedForm:
+    """The squared lifted distances D that qng_embed centres, gathered from the orbit distances."""
+
+    @pytest.mark.parametrize("generators", [
+        [np.array([[np.cos(2 * np.pi / 5), -np.sin(2 * np.pi / 5)],
+                   [np.sin(2 * np.pi / 5), np.cos(2 * np.pi / 5)]])],
+        [np.array([[-1.0]])],
+        KLEIN_GENERATORS,
+        [np.array([[0.0, -1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])],
+        [np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
+                   [np.sin(np.pi / 4), np.cos(np.pi / 4)]]), np.diag([1.0, -1.0])],
+        B3_GENERATORS,
+        C9_SHIFT,
+    ], ids=["c5", "c2", "klein", "d4", "d8", "b3", "c9-shift"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.9])
+    def test_exactly_symmetric_and_invariant(self, generators, alpha, rng, monkeypatch):
+        captured = []
+
+        def capture(D):
+            captured.append(D)
+            return gram_from_distances(D)
+
+        monkeypatch.setattr(quotient_module, "gram_from_distances", capture)
+        action = close_group(generators)
+        config = free_reps(rng, action, 4)
+        result = qng_embed(config, alpha)
+        (D,) = captured
+        assert np.array_equal(D, D.T)
+        assert equivariance_defect(D, config.action_permutations) == 0.0
+        # the targets are quotient_distance's floats, in every dimension
+        reps = config.representatives
+        assert [row.target for row in result.report] == [
+            quotient_distance(reps[i], reps[j], action) ** alpha
+            for i in range(4) for j in range(i + 1, 4)
+        ]
 
 
 class TestQuotientProperties:
