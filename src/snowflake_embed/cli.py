@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -113,10 +113,7 @@ def _load_metric_matrix(path: Path) -> tuple[np.ndarray, bool]:
     if path.suffix.lower() == ".json":
         obj = _load_json(path)
         if isinstance(obj, dict) and "points" in obj and "distances" not in obj:
-            try:
-                return np.atleast_2d(np.asarray(obj["points"], dtype=float)), True
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"{path}: {exc}")
+            return _json_table(path, obj, "points"), True
         return _json_table(path, obj, "distances"), False
     return _load_table(path, "distances"), False
 
@@ -160,28 +157,30 @@ def _digest(path: Path) -> dict:
 # report plumbing
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
+def _plain(value):
+    """The ``default`` of every JSON file written: a numpy array or scalar as its
+    ``tolist()``, a record array (such as ``QngEmbedding.report``) as one object
+    per record."""
+    if isinstance(value, np.ndarray) and value.dtype.names:
+        return [dict(zip(value.dtype.names, row)) for row in value.tolist()]
+    if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if is_dataclass(value):  # such as the PairCheck rows of a VerificationFailure
-        return _jsonable(asdict(value))
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _write_json(path: str, body: dict) -> None:
+    """``body`` as one line of compact JSON, encoded in C in one pass."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(body, default=_plain))
+        fh.write("\n")
 
 
 def _error_payload(exc: Exception) -> dict:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    payload.update({k: _jsonable(v) for k, v in vars(exc).items()})
-    return payload
+    return {"error": type(exc).__name__, "message": str(exc), **vars(exc)}
 
 
 def _judged(value: float, tolerance: float) -> dict:
-    return {"value": _jsonable(value), "tolerance": _jsonable(tolerance)}
+    return {"value": value, "tolerance": tolerance}
 
 
 @dataclass
@@ -215,21 +214,10 @@ class _Report:
             for line in self.summary:
                 print(line)
             return
-        report = {"command": self.command, "inputs": self.inputs,
-                  "outcome": "pass" if outcome else "fail",
-                  "payload": _jsonable(self.payload), "tolerances": _jsonable(self.tolerances)}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, {"command": self.command, "inputs": self.inputs,
+                           "outcome": "pass" if outcome else "fail",
+                           "payload": self.payload, "tolerances": self.tolerances})
         print(f"report: {path}")
-
-
-def _write_points(path: str, body: dict) -> None:
-    # compact json.dumps encodes in C in one pass; json.dump(indent=2)
-    # streams through the pure-Python encoder, slower on large matrices
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(_jsonable(body)))
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +306,7 @@ def _cmd_embed(args, report: _Report) -> bool:
         )
         report.summary.append(report.payload["note"])
     if args.out:
-        _write_points(args.out, {"points": result.coordinates})
+        _write_json(args.out, {"points": result.coordinates})
         report.summary.append(f"coordinates: {args.out}")
     return True
 
@@ -373,7 +361,6 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
     config = lift_orbits(_load_table(reps_path, "representatives"), action, tol=args.tol)
     result = qng_embed(config, args.alpha, tol=args.tol)
 
-    rows = [row.to_dict() for row in result.report]
     report.payload.update(
         group_order=action.group.order,
         n_orbits=config.n_orbits,
@@ -382,7 +369,7 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
         equivariance_defect=_judged(result.equivariance_defect, result.equivariance_tol),
         spectrum=result.spectrum,
         zero_eigenvalues=result.zero_eigenvalues,
-        report=rows,
+        report=result.report,
         scale_note=result.scale_note,
     )
     report.summary = [
@@ -393,8 +380,8 @@ def _cmd_quotient_embed(args, report: _Report) -> bool:
         f"{result.zero_eigenvalues} zero eigenvalue(s)",
     ]
     if args.out:
-        _write_points(args.out, {"points": result.points, "report": rows,
-                                 "scale_note": result.scale_note})
+        _write_json(args.out, {"points": result.points, "report": result.report,
+                               "scale_note": result.scale_note})
         report.summary.append(f"embedding: {args.out}")
     return True
 

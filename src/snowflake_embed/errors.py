@@ -191,6 +191,9 @@ class InvarianceViolation(SnowflakeError):
 
 
 class VerificationFailure(SnowflakeError):
+    """The achieved quotient distances miss their targets; ``report`` is the record
+    array of ``QngEmbedding.report``."""
+
     def __init__(self, max_abs_error: float, tol: float, report=None):
         self.max_abs_error = float(max_abs_error)
         self.tol = float(tol)

@@ -77,21 +77,6 @@ class QuotientConfiguration:
 
 
 @dataclass(frozen=True)
-class PairCheck:
-    """One row of the verification report."""
-
-    i: int
-    j: int
-    target: float
-    achieved: float
-    abs_error: float
-
-    def to_dict(self) -> dict:
-        return {"i": self.i, "j": self.j, "target": self.target,
-                "achieved": self.achieved, "abs_error": self.abs_error}
-
-
-@dataclass(frozen=True)
 class QngEmbedding:
     """n points in the coordinate-sum-one hyperplane of R^(n|G|), verified.
 
@@ -104,12 +89,14 @@ class QngEmbedding:
     those at most ``spectral_threshold(spectrum, tol)``.  ``equivariance_defect``
     (of T) was judged against ``equivariance_tol`` = (N tol (1 + max |B|))**0.5, the
     square root's bound on the round-off of B's centring, and ``max_abs_error``
-    against ``verification_tol`` = tol * (1 + largest target).
+    against ``verification_tol`` = tol * (1 + largest target).  ``report`` is the
+    verification, one record per pair of orbits i < j in row-major order, with
+    fields ``i, j, target, achieved, abs_error``.
     """
 
     points: np.ndarray
     gram_root: np.ndarray
-    report: list[PairCheck]
+    report: np.recarray
     spectrum: np.ndarray
     zero_eigenvalues: int
     equivariance_defect: float
@@ -203,13 +190,6 @@ def equivariance_defect(T, perms) -> float:
         return 0.0
     reps = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
     return float(np.ptp(T[perms[:, reps, None], perms[:, None, :]], axis=0).max())
-
-
-def _min_norm(diffs: np.ndarray) -> np.ndarray:
-    """min over axis 1 of the Euclidean norms along axis 2, as np.linalg.norm
-    takes them (the square root of a sum of squares), squaring in place."""
-    np.multiply(diffs, diffs, out=diffs)
-    return np.sqrt(np.add.reduce(diffs, axis=2)).min(axis=1)
 
 
 def _largest_cycle(group: FiniteGroup) -> np.ndarray:
@@ -315,28 +295,31 @@ def qng_embed(
     base = np.full(size, 1.0 / size)
     points = base[None, :] + T[:, np.arange(n) * order + e_idx].T
 
-    # targets, min over g of |x_i - g x_j|, are quotient_distance's floats; orbit i
-    # against every j > i at once: |p_i - pi p_j| over the regular permutations,
-    # in (n - i - 1, |G|, N) blocks, the same operations as a pair-by-pair loop
-    targets = F.min(axis=2)
-    report = []
+    # orbit i against every j > i at once: |p_i - pi p_j| over the regular
+    # permutations, in (n - i - 1, |G|, N) blocks, the same operations as a
+    # pair-by-pair loop (the square root of a sum of squares, as np.linalg.norm)
+    achieved = [np.empty(0)]  # a single orbit has no pairs
     for i in range(n - 1):
         # take, unlike fancy indexing, lays the gather out C-contiguous, so
         # each norm sums one contiguous row as it does on a single pair
         permuted = np.take(points[i + 1:], Q.action_permutations, axis=1)
         np.subtract(permuted, points[i], out=permuted)
-        achieved = _min_norm(permuted)
-        for j, dist, a in zip(range(i + 1, n), targets[i, i + 1:].tolist(), achieved.tolist()):
-            target = dist ** alpha
-            report.append(PairCheck(i, j, target, a, abs(a - target)))
+        np.multiply(permuted, permuted, out=permuted)
+        achieved.append(np.sqrt(np.add.reduce(permuted, axis=2)).min(axis=1))
+    achieved = np.concatenate(achieved)
+    # targets, min over g of |x_i - g x_j|, are quotient_distance's floats
+    iu, ju = np.triu_indices(n, k=1)
+    target = F.min(axis=2)[iu, ju] ** alpha
+    report = np.rec.fromarrays([iu, ju, target, achieved, np.abs(achieved - target)],
+                               names="i,j,target,achieved,abs_error")
 
     # np.max, unlike max, keeps a nan, which then fails the verification
-    max_err = float(np.max([row.abs_error for row in report], initial=0.0))
-    verify_tol = tol * (1.0 + float(np.max([row.target for row in report], initial=0.0)))
+    max_err = float(np.max(report.abs_error, initial=0.0))
+    verify_tol = tol * (1.0 + float(np.max(report.target, initial=0.0)))
     if not max_err <= verify_tol:
         raise VerificationFailure(max_err, verify_tol, report=report)
 
-    for arr in (points, T, spectrum):
+    for arr in (points, T, spectrum, report):
         arr.flags.writeable = False
     return QngEmbedding(
         points=points,

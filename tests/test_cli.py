@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from snowflake_embed import cli, embedding, euclidean_metric, snowflake_embed
+from snowflake_embed import (cli, close_group, embed, embedding, euclidean_metric, lift_orbits,
+                             qng_embed, snowflake_embed, validate_metric)
 from snowflake_embed.cli import main
-from snowflake_embed.errors import QuadratureNonconvergence, VerificationFailure
+from snowflake_embed.errors import NotEmbeddable, QuadratureNonconvergence, VerificationFailure
 from snowflake_embed.metric import pairwise_distances
 
 
@@ -374,6 +375,20 @@ class TestPointCloudInput:
         assert violation["error"] == "DuplicatePoints"
         assert violation["pairs"] == [[0, 1]]
 
+    @pytest.mark.parametrize("body", [
+        {"points": []},
+        {"points": [0.0, 1.0]},
+        {"n": 3, "points": [[0.0], [1.0]]},
+    ], ids=["empty", "one-dimensional", "declared-n"])
+    @pytest.mark.parametrize("command", ["validate", "negtype", "embed"])
+    def test_malformed_cloud_is_parse_error(self, command, body, tmp_path, capsys):
+        # not one point in E^0, nor one point in E^2: the rule of a distance table
+        cloud = write_json(tmp_path / "cloud.json", body)
+        report_path = tmp_path / "report.json"
+        assert main([command, cloud, "--json", str(report_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not report_path.exists()
+
 
 class TestSchoenberg:
     def test_normalization_grid_point(self, capsys):
@@ -625,10 +640,10 @@ class TestQuotientEmbed:
         assert judged["tolerance"] > 1e-9
 
     def test_verification_failure_writes_report(self, c2_group_json, tmp_path, monkeypatch):
-        from snowflake_embed.quotient import PairCheck
-
         def unverified(*args, **kwargs):
-            raise VerificationFailure(0.5, 2e-9, report=[PairCheck(0, 1, 1.0, 1.5, 0.5)])
+            row = np.rec.fromarrays([[0], [1], [1.0], [1.5], [0.5]],
+                                    names="i,j,target,achieved,abs_error")
+            raise VerificationFailure(0.5, 2e-9, report=row)
 
         monkeypatch.setattr(cli, "qng_embed", unverified)
         reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
@@ -652,3 +667,27 @@ class TestQuotientEmbed:
         reps = tmp_path / "reps.csv"
         reps.write_text("1.0\n2.0\n")
         assert main(["quotient-embed", c2_group_json, str(reps), "--alpha", "0.25"]) == 0
+
+
+def test_files_are_single_lines_that_round_trip(c2_group_json, claw_json, claw_matrix, tmp_path):
+    # compact JSON on one line, and floats read back bit for bit
+    def single_line(path):
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        return json.loads(text)
+
+    reps = [[1.0], [-1.5], [3.0]]
+    rsrc = write_json(tmp_path / "reps.json", {"representatives": reps})
+    out, report_path = tmp_path / "embedding.json", tmp_path / "report.json"
+    assert main(["quotient-embed", c2_group_json, rsrc,
+                 "--json", str(report_path), "--out", str(out)]) == 0
+    result = qng_embed(lift_orbits(reps, close_group([[[-1.0]]], tol=1e-8)), 0.5)
+    spectrum = single_line(report_path)["payload"]["spectrum"]
+    assert np.array(spectrum).tobytes() == result.spectrum.tobytes()
+    assert np.array(single_line(out)["points"]).tobytes() == result.points.tobytes()
+
+    assert main(["embed", claw_json, "--json", str(report_path)]) == 2
+    with pytest.raises(NotEmbeddable) as exc:
+        embed(validate_metric(claw_matrix))
+    witness = single_line(report_path)["payload"]["failure"]["witness"]
+    assert np.array(witness).tobytes() == exc.value.witness.tobytes()

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 from hypothesis import event, given, reject, settings
@@ -32,7 +30,6 @@ from snowflake_embed.errors import (
 from snowflake_embed.groups import FiniteGroup, OrthogonalAction
 from snowflake_embed.metric import pairwise_distances
 from snowflake_embed.negative_type import centered_spectrum, gram_from_distances, spectral_threshold
-from snowflake_embed.quotient import PairCheck
 
 #: signed permutations of E^3, the hyperoctahedral group B3 of order 48
 B3_GENERATORS = [np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])]
@@ -352,20 +349,27 @@ class TestQngEmbed:
     @pytest.mark.parametrize("action", [reflection_action(), rotation_action(16),
                                         dihedral_action(8)], ids=["c2", "c16", "d8"])
     def test_report_matches_pair_by_pair(self, action, rng):
-        # the vectorised report gives the floats of one pair at a time
+        # the vectorised report gives the floats of one pair at a time; targets
+        # are numpy's power of quotient_distance's floats
         config = free_reps(rng, action, 9)
         result = qng_embed(config, 0.5)
         perms = config.action_permutations
-        expected = []
+        pairs, dists, achieved = [], [], []
         for i in range(config.n_orbits):
             for j in range(i + 1, config.n_orbits):
                 reps = config.representatives
-                target = quotient_distance(reps[i], reps[j], action) ** 0.5
+                pairs.append((i, j))
+                dists.append(quotient_distance(reps[i], reps[j], action))
                 permuted = result.points[j][perms]
-                achieved = float(np.linalg.norm(permuted - result.points[i][None, :], axis=1).min())
-                expected.append(PairCheck(i, j, target, achieved, abs(achieved - target)))
-        assert result.report == expected
-        assert [row.to_dict() for row in result.report] == [asdict(row) for row in expected]
+                achieved.append(
+                    float(np.linalg.norm(permuted - result.points[i][None, :], axis=1).min()))
+        target = (np.array(dists) ** 0.5).tolist()
+        report = result.report
+        assert report.dtype.names == ("i", "j", "target", "achieved", "abs_error")
+        assert list(zip(report.i.tolist(), report.j.tolist())) == pairs
+        assert report.target.tolist() == target
+        assert report.achieved.tolist() == achieved
+        assert report.abs_error.tolist() == [abs(a - t) for a, t in zip(achieved, target)]
 
     def test_gram_root_is_psd(self):
         config = lift_orbits([[1.0, 0.4], [2.0, 1.0]], rotation_action(4))
@@ -423,7 +427,7 @@ class TestQngEmbed:
         config = lift_orbits([[2.0]], trivial_action(1))
         result = qng_embed(config, 0.5)
         assert result.points.shape == (1, 1)
-        assert result.report == []
+        assert len(result.report) == 0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_root_defect_judged_at_its_scale(self, seed, lifted_points):
@@ -543,10 +547,10 @@ class TestLiftedForm:
         assert equivariance_defect(D, config.action_permutations) == 0.0
         # the targets are quotient_distance's floats, in every dimension
         reps = config.representatives
-        assert [row.target for row in result.report] == [
-            quotient_distance(reps[i], reps[j], action) ** alpha
+        assert result.report.target.tolist() == (np.array([
+            quotient_distance(reps[i], reps[j], action)
             for i in range(4) for j in range(i + 1, 4)
-        ]
+        ]) ** alpha).tolist()
 
 
 class TestQuotientProperties:

@@ -124,7 +124,20 @@ def test_quotient_embed(k, dihedral, n, scale, alpha, seed):
     reps = np.random.default_rng(seed).standard_normal((n, 2)) * scale
     files = [("group.json", {"dim": 2, "generators": generators}),
              ("reps.json", {"representatives": reps.tolist()})]
-    assert_contract(*run_with_report("quotient-embed", files, ["--alpha", repr(alpha)]))
+    code, report = run_with_report("quotient-embed", files, ["--alpha", repr(alpha)])
+    assert_contract(code, report)
+    if code == 0:
+        # one row per pair of orbits i < j, row-major, rendered from the record array
+        payload = report["payload"]
+        rows = payload["report"]
+        assert [(row["i"], row["j"]) for row in rows] == [
+            (i, j) for i in range(n) for j in range(i + 1, n)]
+        for row in rows:
+            assert list(row) == ["i", "j", "target", "achieved", "abs_error"]
+            assert type(row["i"]) is int and type(row["j"]) is int
+            assert row["abs_error"] == abs(row["achieved"] - row["target"])
+        assert max((row["abs_error"] for row in rows), default=0.0) == \
+            payload["max_abs_error"]["value"]
 
 
 @given(
