@@ -3,8 +3,10 @@
 Exit codes are a stable contract: 0 the requested property holds, 2 it
 fails (details in the report payload), 3 I/O or parse trouble, 4 usage
 errors.  Runs are fully deterministic; every numeric verdict in a payload
-carries the tolerance it was judged against, and reports round-trip
-through JSON exactly (floats are serialized with full precision).
+carries the tolerance it was judged against.  Every file written is one line
+of RFC 8259 JSON: a finite float in its shortest form that reads back
+bit-equal, a non-finite one as ``null``.  Inputs are read with the standard
+library's ``json``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .embedding import RESIDUAL_LIMIT, check_point_count, embed, snowflake_embed
@@ -158,21 +161,23 @@ def _digest(path: Path) -> dict:
 
 
 def _plain(value):
-    """The ``default`` of every JSON file written: a numpy array or scalar as its
-    ``tolist()``, a record array (such as ``QngEmbedding.report``) as one object
-    per record."""
-    if isinstance(value, np.ndarray) and value.dtype.names:
-        return [dict(zip(value.dtype.names, row)) for row in value.tolist()]
-    if isinstance(value, (np.ndarray, np.generic)):
+    """The ``default`` of every JSON file written, for the arrays orjson leaves to
+    it: a record array (such as ``QngEmbedding.report``) as one object per
+    record, and any other array (such as a non-contiguous view) as its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.names:
+            return [dict(zip(value.dtype.names, row)) for row in value.tolist()]
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, body: dict) -> None:
-    """``body`` as one line of compact JSON, encoded in C in one pass."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(body, default=_plain))
-        fh.write("\n")
+    """``body`` as one line of compact RFC 8259 JSON, encoded by orjson: finite
+    floats in the shortest form that reads back bit-equal (``0.00001`` where
+    Python's ``repr`` gives ``1e-05``), non-finite floats as ``null``."""
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(body, default=_plain,
+                              option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
 
 
 def _error_payload(exc: Exception) -> dict:

@@ -2,12 +2,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from snowflake_embed import (cli, close_group, embed, embedding, euclidean_metric, lift_orbits,
                              qng_embed, snowflake_embed, validate_metric)
 from snowflake_embed.cli import main
 from snowflake_embed.errors import NotEmbeddable, QuadratureNonconvergence, VerificationFailure
 from snowflake_embed.metric import pairwise_distances
+
+
+def strict_loads(text):
+    """``text`` read as RFC 8259 JSON, where a NaN or Infinity token is an error."""
+    def refuse(token):
+        raise ValueError(f"{token} is not an RFC 8259 JSON value")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_json(path, obj):
@@ -325,7 +336,7 @@ class TestEmbed:
         text = out.read_text()
         assert text.count("\n") == 1 and text.endswith("\n")
         expected = snowflake_embed(euclidean_metric(pts), 0.5).coordinates
-        assert np.array_equal(np.asarray(json.loads(text)["points"]), expected)
+        assert np.asarray(strict_loads(text)["points"]).tobytes() == expected.tobytes()
 
     def test_report_roundtrips(self, collinear_json, tmp_path):
         report_path = tmp_path / "report.json"
@@ -691,3 +702,78 @@ def test_files_are_single_lines_that_round_trip(c2_group_json, claw_json, claw_m
         embed(validate_metric(claw_matrix))
     witness = single_line(report_path)["payload"]["failure"]["witness"]
     assert np.array(witness).tobytes() == exc.value.witness.tobytes()
+
+
+@pytest.mark.parametrize("case", ["negtype-one-point", "quotient-nan-generator",
+                                  "schoenberg-overflowing-rhs"])
+def test_non_finite_floats_written_as_null(case, tmp_path, capsys):
+    # the summary prints the float as before; the report spells it null
+    if case == "negtype-one-point":
+        # one point: the restricted spectrum is empty, its minimum inf
+        argv = ["negtype", write_json(tmp_path / "one.json", {"points": [[1.0, 2.0]]})]
+        expected_code, summary, nulls = 0, "min eigenvalue inf", [("min_eigenvalue", "value")]
+    elif case == "quotient-nan-generator":
+        group = write_json(tmp_path / "nan.json", {"dim": 1, "generators": [[[float("nan")]]]})
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
+        argv = ["quotient-embed", group, reps]
+        expected_code, summary, nulls = 2, "defect nan", [("failure", "defect")]
+    else:
+        # the right-hand side overflows at t = 1e100, a = 0.99
+        argv = ["schoenberg", "--alpha", "0.99", "--t-grid", "1e100"]
+        expected_code, summary = 2, "worst rel err inf"
+        nulls = [("per_t", 0, "rhs"), ("per_t", 0, "rel_err", "value")]
+    assert main(argv) == expected_code
+    assert summary in capsys.readouterr().out
+    report_path = tmp_path / "report.json"
+    assert main([*argv, "--json", str(report_path)]) == expected_code
+    payload = strict_loads(report_path.read_text())["payload"]
+    for where in nulls:
+        node = payload
+        for key in where:
+            node = node[key]
+        assert node is None, where
+
+
+# every class of double: st.floats draws subnormals, +-0.0 and values near
+# 1e+-308; integer-valued floats are drawn on their own
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False) | \
+    st.integers(-2**53, 2**53).map(float)
+
+
+class TestWriteJson:
+    """``cli._write_json``, the one writer of every file the CLI produces."""
+
+    @given(values=arrays(np.float64, st.tuples(st.integers(0, 5), st.integers(1, 5)),
+                         elements=finite_doubles))
+    @example(values=np.array([[5e-324, -5e-324, 2.2250738585072014e-308],
+                              [0.0, -0.0, 1e-308],
+                              [1e308, -1.7976931348623157e308, 1e-5],
+                              [3.0, -2.0**53, 1e22]]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_floats_read_back_bit_equal(self, values, tmp_path):
+        path = tmp_path / "out.json"
+        views = {"array": values, "reversed": values[::-1], "column": values[:, 0]}
+        cli._write_json(str(path), {**views, "floats": values.ravel().tolist()})
+        body = strict_loads(path.read_text())
+        views["floats"] = values.ravel()
+        for key, expected in views.items():
+            got = np.array(body[key], dtype=np.float64).reshape(expected.shape)
+            assert np.array_equal(got.view(np.uint64),
+                                  np.ascontiguousarray(expected).view(np.uint64)), key
+        # a view that is not C-contiguous renders as its tolist()
+        assert body["reversed"] == values[::-1].tolist()
+        assert body["column"] == values[:, 0].tolist()
+
+    def test_record_array_renders_one_object_per_row(self, tmp_path):
+        rows = np.rec.fromarrays([np.array([0, 0, 1]), np.array([1, 2, 2]),
+                                  np.array([1.0, 0.5, 2.0**-60])], names="i,j,target")
+        path = tmp_path / "out.json"
+        cli._write_json(str(path), {"report": rows, "empty": rows[:0]})
+        body = strict_loads(path.read_text())
+        assert body["report"] == [{"i": 0, "j": 1, "target": 1.0},
+                                  {"i": 0, "j": 2, "target": 0.5},
+                                  {"i": 1, "j": 2, "target": 2.0**-60}]
+        for row in body["report"]:
+            assert (type(row["i"]), type(row["j"]), type(row["target"])) == (int, int, float)
+        assert body["empty"] == []

@@ -36,7 +36,8 @@ def judged_nodes(obj, where=""):
 
 def run_with_report(command, files, options):
     """Exit code and --json report of one command on input files written
-    from ``files`` (a list of (name, JSON body))."""
+    from ``files`` (a list of (name, JSON body)).  The report is read as RFC 8259
+JSON: a NaN or Infinity token fails the test."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name, body in files:
@@ -46,8 +47,13 @@ def run_with_report(command, files, options):
         report_path = Path(tmp) / "report.json"
         code = main([command, *paths, *options, "--json", str(report_path)])
         assert code in (0, 2), f"exit {code}"
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(), parse_constant=refuse_constant)
     return code, report
+
+
+def refuse_constant(token):
+    """``parse_constant`` of a strict reader: NaN and Infinity are not JSON."""
+    raise ValueError(f"{token} is not an RFC 8259 JSON value")
 
 
 def assert_contract(code, report):
@@ -145,6 +151,7 @@ def test_quotient_embed(k, dihedral, n, scale, alpha, seed):
     # t**2 stays a positive finite double: the domain of the identity's check
     exponents=st.lists(st.floats(-160.0, 153.0), min_size=1, max_size=4),
 )
+@example(alpha=0.99, exponents=[100.0])  # rhs overflows to inf, written as null
 @settings(max_examples=60, deadline=None)
 def test_schoenberg(alpha, exponents):
     grid = ",".join(repr(10.0 ** e) for e in exponents)
