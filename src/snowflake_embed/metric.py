@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     DimensionMismatch,
@@ -116,6 +114,9 @@ def validate_metric(matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
         i, j = np.argwhere(bad)[0]
         raise NonpositiveOffDiagonal(i, j, d[i, j])
 
+    # scipy only here, so that point-cloud commands start without importing it
+    from scipy.sparse.csgraph import shortest_path
+
     slack = tol * d.max() if n > 1 else 0.0
     # Pass test in compiled code: Floyd-Warshall keeps minima of computed
     # sums, and rounding is monotone, so sp[i, j] <= fl(d[i, k] + d[k, j])
@@ -152,8 +153,21 @@ def snowflake(X: FiniteMetricSpace, a: SnowflakeExponent | float) -> FiniteMetri
 
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of row vectors; exactly symmetric, zero diagonal."""
-    return squareform(pdist(coords))
+    """Euclidean distance matrix of row vectors; exactly symmetric, zero diagonal.
+
+    The squared coordinate differences are summed one coordinate at a time,
+    in pdist's order, so d[i, j] and d[j, i] are the same sums; a sum that
+    overflows is inf.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[0]
+    sq = np.zeros((n, n))
+    diff = np.empty((n, n))
+    with np.errstate(over="ignore"):
+        for column in coords.T:
+            np.subtract.outer(column, column, out=diff)
+            sq += np.square(diff, out=diff)
+    return np.sqrt(sq, out=sq)
 
 
 def euclidean_metric(P) -> FiniteMetricSpace:

@@ -1,4 +1,8 @@
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -704,8 +708,7 @@ def test_files_are_single_lines_that_round_trip(c2_group_json, claw_json, claw_m
     assert np.array(witness).tobytes() == exc.value.witness.tobytes()
 
 
-@pytest.mark.parametrize("case", ["negtype-one-point", "quotient-nan-generator",
-                                  "schoenberg-overflowing-rhs"])
+@pytest.mark.parametrize("case", ["negtype-one-point", "quotient-nan-generator"])
 def test_non_finite_floats_written_as_null(case, tmp_path, capsys):
     # the summary prints the float as before; the report spells it null
     if case == "negtype-one-point":
@@ -717,11 +720,6 @@ def test_non_finite_floats_written_as_null(case, tmp_path, capsys):
         reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
         argv = ["quotient-embed", group, reps]
         expected_code, summary, nulls = 2, "defect nan", [("failure", "defect")]
-    else:
-        # the right-hand side overflows at t = 1e100, a = 0.99
-        argv = ["schoenberg", "--alpha", "0.99", "--t-grid", "1e100"]
-        expected_code, summary = 2, "worst rel err inf"
-        nulls = [("per_t", 0, "rhs"), ("per_t", 0, "rel_err", "value")]
     assert main(argv) == expected_code
     assert summary in capsys.readouterr().out
     report_path = tmp_path / "report.json"
@@ -732,6 +730,42 @@ def test_non_finite_floats_written_as_null(case, tmp_path, capsys):
         for key in where:
             node = node[key]
         assert node is None, where
+
+
+def test_point_cloud_commands_start_without_scipy(tmp_path):
+    # a fresh interpreter: scipy is imported only by validate_metric's
+    # shortest-path pass, which point clouds never reach
+    cloud = write_json(tmp_path / "cloud.json",
+                       {"points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]})
+    group = write_json(tmp_path / "c2.json", {"dim": 1, "generators": [[[-1.0]]]})
+    reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
+    matrix = write_json(tmp_path / "matrix.json", {"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})
+    argvs = [["embed", cloud, "--alpha", "0.5"], ["negtype", cloud, "--strict", "--alpha", "0.5"],
+             ["schoenberg", "--alpha", "0.5"], ["quotient-embed", group, reps]]
+    snippet = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+        "from snowflake_embed.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"codes.append(main(['validate', {matrix!r}]))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
+                          check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+
+
+def test_schoenberg_far_from_one_is_finite(tmp_path):
+    # t = 1e100 at a = 0.99: the right-hand side is about 1e198, and the split
+    # points scale with t, so it neither overflows nor loses accuracy
+    report_path = tmp_path / "report.json"
+    assert main(["schoenberg", "--alpha", "0.99", "--t-grid", "1e100",
+                 "--json", str(report_path)]) == 0
+    row = strict_loads(report_path.read_text())["payload"]["per_t"][0]
+    assert math.isfinite(row["rhs"])
+    assert row["rel_err"]["value"] <= 1e-12
 
 
 # every class of double: st.floats draws subnormals, +-0.0 and values near

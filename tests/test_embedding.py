@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import snowflake_embed.embedding as embedding_module
 from snowflake_embed import (
@@ -22,6 +23,7 @@ from snowflake_embed.errors import (
     TheoremViolation,
 )
 from snowflake_embed.metric import pairwise_distances
+from snowflake_embed.negative_type import spectral_decision
 
 
 class TestGramFromDistances:
@@ -115,6 +117,14 @@ class TestSnowflakeEmbed:
         assert res.rank == 2
         d = np.sort(pairwise_distances(res.coordinates)[np.triu_indices(3, k=1)])
         assert np.allclose(d, [1.0, 1.0, np.sqrt(2)], atol=1e-12)
+
+    def test_arrays_are_c_contiguous(self, make_cloud):
+        # what the JSON writer hands to orjson without a tolist() copy
+        res = snowflake_embed(euclidean_metric(make_cloud(12, 3)), 0.5)
+        assert res.coordinates.shape == (12, 11)
+        assert res.coordinates.flags.c_contiguous
+        assert res.eigenvalues.flags.c_contiguous
+        assert not res.coordinates.flags.writeable and not res.eigenvalues.flags.writeable
 
     def test_two_points(self):
         X = euclidean_metric([[0.0], [7.0]])
@@ -226,6 +236,49 @@ class TestEmbeddingResidual:
         X = validate_metric([[0, 1], [1, 0]])
         with pytest.raises(DimensionMismatch):
             embedding_residual(np.zeros((3, 1)), X)
+
+    @pytest.mark.parametrize("points, alpha, accepted", [
+        (np.random.default_rng(1).standard_normal((40, 3)), 0.5, True),
+        (np.random.default_rng(2).standard_normal((60, 3)), 0.9, True),
+        (np.random.default_rng(3).standard_normal((30, 3)), None, True),
+        (np.arange(50.0)[:, None], 0.5, True),
+        # the residual limit rejects these two (ROADMAP item 1)
+        (np.arange(200.0)[:, None], 0.999, False),
+        (np.array([[0.0], [1e-5], [0.5], [1.0]]), 0.8, False),
+    ], ids=["cloud40-a0.5", "cloud60-a0.9", "cloud30", "grid50-a0.5", "grid200-a0.999",
+            "tight-a0.8"])
+    def test_decision_and_value_match_differences(self, points, alpha, accepted):
+        X = euclidean_metric(points)
+        Y = X if alpha is None else snowflake(X, alpha)
+        _, mu, U, keep = spectral_decision(Y, 1e-9)
+        coords = U[:, keep] * np.sqrt(mu[keep])
+        target = squareform(Y.d, checks=False)
+        direct = pdist(coords)
+        by_differences = float(np.max(np.abs(direct - target) / target))
+        value = embedding_residual(coords, Y)
+        limit = embedding_module.RESIDUAL_LIMIT
+        assert (value <= limit) == (by_differences <= limit) == accepted
+        # each pair's squared distance is within 2 gamma_(m+4) (|p_i| + |p_j|)^2 of
+        # the pdist one, so its residual within that over (distance * target)
+        norms = np.linalg.norm(coords, axis=1)
+        k = coords.shape[1] + 4
+        gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+        radius = squareform(norms[:, None] + norms[None, :], checks=False)
+        assert abs(value - by_differences) <= np.max(2.0 * gamma * radius ** 2 / (direct * target))
+        if alpha is not None and not accepted:
+            with pytest.raises(NotEmbeddable):
+                snowflake_embed(X, alpha)
+
+    def test_close_pair_far_from_origin_is_recomputed(self):
+        # against norms of 1e4 the Gram form keeps about 1e-8 of a squared
+        # distance of 1e-6: the bound leaves the close pair undecided, and its
+        # coordinate differences reproduce it
+        coords = np.array([[1e4, 0.0], [1e4 + 1e-3, 0.0], [1e4, 1.0]])
+        X = euclidean_metric(coords)
+        gram = coords @ coords.T
+        estimate = np.sqrt(gram[0, 0] + gram[1, 1] - 2.0 * gram[0, 1])
+        assert abs(estimate - X.d[0, 1]) / X.d[0, 1] > embedding_module.RESIDUAL_LIMIT
+        assert embedding_residual(coords, X) <= 1e-15
 
     def test_memory_is_quadratic(self, rng):
         n = 400

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist, squareform
 
 from snowflake_embed import (
     euclidean_metric,
@@ -230,6 +234,14 @@ class TestEuclideanMetric:
         with pytest.raises(MetricValidationError):
             euclidean_metric([[0.0], [1e200]])
 
+    def test_overflow_raises_without_warning(self):
+        # the squared difference 1e400 overflows: a verdict, not a RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MetricValidationError):
+                euclidean_metric([[0.0], [1e200]])
+        assert caught == []
+
 
 class TestPairwiseDistances:
     @pytest.mark.parametrize("n, m", [(1, 3), (2, 1), (40, 3), (60, 7), (50, 49)])
@@ -242,6 +254,16 @@ class TestPairwiseDistances:
         diff = coords[:, None, :] - coords[None, :, :]
         reference = np.sqrt((diff * diff).sum(axis=-1))
         assert (np.abs(d - reference) <= 1e-15 * reference).all()
+
+    @given(coords=arrays(float, st.tuples(st.integers(1, 12), st.integers(1, 5)),
+                         elements=st.floats(-1e100, 1e100)))
+    @settings(max_examples=100, deadline=None)
+    def test_within_one_ulp_of_pdist(self, coords):
+        d = pairwise_distances(coords)
+        assert np.array_equal(d, d.T)
+        assert np.array_equal(np.diagonal(d), np.zeros(len(coords)))
+        reference = squareform(pdist(coords))
+        assert (np.abs(d - reference) <= np.spacing(reference)).all()
 
 
 class TestSquaredDistanceMatrix:

@@ -151,7 +151,7 @@ def test_quotient_embed(k, dihedral, n, scale, alpha, seed):
     # t**2 stays a positive finite double: the domain of the identity's check
     exponents=st.lists(st.floats(-160.0, 153.0), min_size=1, max_size=4),
 )
-@example(alpha=0.99, exponents=[100.0])  # rhs overflows to inf, written as null
+@example(alpha=0.99, exponents=[100.0])  # far from t = 1, where rhs must stay finite
 @settings(max_examples=60, deadline=None)
 def test_schoenberg(alpha, exponents):
     grid = ",".join(repr(10.0 ** e) for e in exponents)

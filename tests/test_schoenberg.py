@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snowflake_embed import (
     check_kernel_psd,
@@ -31,6 +35,11 @@ FROZEN_INTEGRALS = {
 }
 
 
+def log_uniform(lo, hi):
+    """Floats whose base-10 logarithm is uniform on [log10(lo), log10(hi)]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
 class TestQuadratureSpec:
     def test_defaults_valid(self):
         spec = QuadratureSpec()
@@ -60,9 +69,22 @@ class TestPowerKernelIntegral:
         assert two == pytest.approx(one, rel=1e-12)
 
     def test_budget_exhaustion(self):
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=2)
+        # a relative tolerance below double precision: the 10- and 20-point
+        # rules keep disagreeing by rounding noise, so no bisection budget
+        # is enough, and the rule gives up after spending it
+        spec = QuadratureSpec(rel_tol=1e-17, abs_tol=1e-300, max_subdivisions=2)
         with pytest.raises(QuadratureNonconvergence):
             power_kernel_integral([(1.0, 1.0)], 0.9, spec)
+
+    @given(terms=st.lists(st.tuples(st.floats(1e-3, 1e3), log_uniform(1e-150, 1e150)),
+                          min_size=1, max_size=6),
+           a=st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_positive_terms_against_closed_form(self, terms, a):
+        # the split points scale with t_max, so one term has the same relative
+        # error at every t, and positive terms add without cancellation
+        exact = math.fsum(c * t ** (2.0 * a) for c, t in terms) * math.gamma(1.0 - a) / (2.0 * a)
+        assert power_kernel_integral(terms, a) == pytest.approx(exact, rel=1e-12)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(DomainError):
@@ -204,6 +226,17 @@ class TestStrictDecomposition:
         pts = [[0.0], [1e-6], [1.0], [1e6]]
         form, integral = strict_decomposition_check(pts, 0.5, [1.0, -0.5, -0.5, 0.0])
         assert abs(form - integral) <= 1e-6 * (1 + abs(form))
+
+    def test_many_points_in_general_position(self):
+        # 60 points give 1770 distinct kernel scales; no per-term breakpoints,
+        # so the panel count does not grow with them
+        rng = np.random.default_rng(7)
+        pts = rng.standard_normal((60, 2))
+        lam = rng.standard_normal(60)
+        lam -= lam.mean()
+        form, integral = strict_decomposition_check(pts, 0.4, lam)
+        assert form < 0
+        assert integral == pytest.approx(form, rel=1e-12)
 
     def test_bad_weights(self):
         with pytest.raises(BadWeights):
