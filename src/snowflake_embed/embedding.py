@@ -15,14 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotEmbeddable, TheoremViolation
-from .metric import FiniteMetricSpace, SnowflakeExponent, exponent_value
+from .metric import FiniteMetricSpace, SnowflakeExponent, exponent_value, verified_distances
 from .negative_type import DEFAULT_TOL, snowflake_decision, spectral_decision
 
 #: Largest admissible relative distance-reconstruction error.
 RESIDUAL_LIMIT = 1e-8
-
-#: Unit roundoff of a double, 2**-53.
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 #: Cap on point count, bounding the dense O(n^3) eigendecomposition.
 MAX_POINTS = 4096
@@ -115,19 +112,9 @@ def snowflake_embed(
 
 
 def embedding_residual(coords, X: FiniteMetricSpace) -> float:
-    """Max over pairs of | ||p_i - p_j|| - d_ij | / d_ij.
-
-    The squared distances come from the Gram form
-    ||p_i||^2 + ||p_j||^2 - 2 p_i . p_j of one gemm C C^T.  In m coordinates
-    its error is at most beta_ij = gamma_(m+4) (||p_i|| + ||p_j||)^2, with
-    gamma_k = k u / (1 - k u) and u the unit roundoff, and a squared
-    distance summed from coordinate differences is within beta_ij of the
-    exact one too.  So every pair has a residual interval from the Gram
-    estimate +- 2 beta_ij.  A pair whose interval lies on one side of
-    RESIDUAL_LIMIT keeps its Gram estimate; the few it leaves undecided
-    (close pairs against the configuration scale) are recomputed from
-    coordinate differences.  ``residual <= RESIDUAL_LIMIT`` is therefore the
-    verdict the differences give, and memory stays O(n^2) whatever m.
+    """Max over pairs of | ||p_i - p_j|| - d_ij | / d_ij, from ``verified_distances`` at the
+    limit RESIDUAL_LIMIT * d_ij: ``residual <= RESIDUAL_LIMIT`` is the verdict that
+    coordinate differences give, in O(n^2) memory whatever the coordinate dimension.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[0] != X.n:
@@ -136,33 +123,9 @@ def embedding_residual(coords, X: FiniteMetricSpace) -> float:
         )
     if X.n < 2:
         return 0.0
-    iu, ju = np.triu_indices(X.n, k=1)
-    target = X.d[iu, ju]
-    k = coords.shape[1] + 4
-    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-    # coordinates near the top of the double range give inf or nan bounds,
-    # which decide nothing: those pairs are recomputed
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = coords @ coords.T
-        sq_norms = np.diagonal(gram).copy()
-        sq = sq_norms[iu] + sq_norms[ju] - 2.0 * gram[iu, ju]
-        del gram
-        norms = np.sqrt(sq_norms, out=sq_norms)
-        slack = norms[iu] + norms[ju]
-        slack *= slack
-        slack *= 2.0 * gamma
-        low = np.sqrt(np.maximum(sq - slack, 0.0)) - target
-        high = np.sqrt(sq + slack) - target
-        # decided: the whole residual interval [low, high] / target lies on one side
-        limit = RESIDUAL_LIMIT * target
-        decided = np.maximum(high, -low) <= limit
-        decided |= np.maximum(low, -high) > limit
-        residual = np.abs(np.sqrt(np.maximum(sq, 0.0)) - target)
-        residual /= target
-        undecided = np.flatnonzero(~decided)
-        for start in range(0, undecided.size, X.n):  # O(n m) memory per block
-            pick = undecided[start:start + X.n]
-            diff = coords[iu[pick]] - coords[ju[pick]]
-            direct = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            residual[pick] = np.abs(direct - target[pick]) / target[pick]
+    pairs = np.triu_indices(X.n, k=1)
+    target = X.d[pairs]
+    distances = verified_distances(coords, coords[:, None], pairs, target, RESIDUAL_LIMIT * target)
+    residual = np.abs(distances - target)
+    residual /= target
     return float(residual.max())

@@ -25,6 +25,9 @@ from .errors import (
 #: largest distance, spectral threshold as one of the spectral radius.
 DEFAULT_TOL = 1e-9
 
+#: Unit roundoff of a double, 2**-53.
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
@@ -152,22 +155,70 @@ def snowflake(X: FiniteMetricSpace, a: SnowflakeExponent | float) -> FiniteMetri
     return _frozen_metric(X.d ** alpha)
 
 
-def pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix of row vectors; exactly symmetric, zero diagonal.
-
-    The squared coordinate differences are summed one coordinate at a time,
-    in pdist's order, so d[i, j] and d[j, i] are the same sums; a sum that
-    overflows is inf.
-    """
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[0]
-    sq = np.zeros((n, n))
-    diff = np.empty((n, n))
+def orbit_distances(x: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """F[k, l, g] = ||images[l, g] - x_k|| for the rows x_k of ``x``, the squared differences
+    summed one coordinate at a time in pdist's order; a sum that overflows is inf."""
+    sq = np.zeros((len(x), *images.shape[:2]))
+    diff = np.empty_like(sq)
     with np.errstate(over="ignore"):
-        for column in coords.T:
-            np.subtract.outer(column, column, out=diff)
+        for c in range(x.shape[1]):
+            np.subtract(images[None, :, :, c], x[:, None, None, c], out=diff)
             sq += np.square(diff, out=diff)
     return np.sqrt(sq, out=sq)
+
+
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distance matrix of row vectors: ``orbit_distances`` with each point its
+    one image, the floats of ``squareform(pdist)``, exactly symmetric with zero diagonal."""
+    coords = np.asarray(coords, dtype=float)
+    return orbit_distances(coords, coords[:, None])[:, :, 0]
+
+
+def verified_distances(x: np.ndarray, images: np.ndarray, pairs: tuple, target: np.ndarray,
+                       limit: np.ndarray | float) -> np.ndarray:
+    """min over g of ||x_i - images[j, g]|| for the index arrays ``(i, j) = pairs``, with
+    the verdict ``|distance - target| <= limit`` (per pair, or one number) that
+    coordinate differences give.  ``x`` is n x m; ``images[l]`` (n x |G| x m) holds x_l
+    and otherwise images of it that the arithmetic leaves isometric, such as coordinate
+    permutations (``x[:, None]`` for plain pairwise distances).
+
+    The squares come from the Gram form ||x_i||^2 + ||x_j||^2 - 2 max_g x_i . images[j, g]
+    of one gemm, ||x_i||^2 being the largest product of x_i with its images (Cauchy-Schwarz).
+    Its error, and that of a square summed from differences, is at most beta_ij =
+    gamma_(m+4) (||x_i|| + ||x_j||)^2, gamma_k = k u / (1 - k u), u the unit roundoff.
+    A pair whose interval, the Gram estimate +- 2 beta_ij, lies on one side of the limit
+    keeps that estimate; the few left undecided (close pairs against the configuration
+    scale) are recomputed from differences, in O(n |G| m) memory.
+    """
+    n, m = x.shape
+    iu, ju = pairs
+    k = m + 4
+    gamma = k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+    # coordinates near the top of the double range give inf or nan bounds,
+    # which decide nothing: those pairs are recomputed
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = (x @ images.reshape(images.shape[0] * images.shape[1], m).T).reshape(n, n, -1)
+        sq_norms = gram[np.arange(n), np.arange(n)].max(axis=1)
+        # fl(a - 2 b) falls as b grows, so the largest product gives the least sum
+        sq = sq_norms[iu] + sq_norms[ju] - 2.0 * gram[iu, ju].max(axis=1)
+        del gram
+        norms = np.sqrt(sq_norms, out=sq_norms)
+        slack = norms[iu] + norms[ju]
+        slack *= slack
+        slack *= 2.0 * gamma
+        low = np.sqrt(np.maximum(sq - slack, 0.0)) - target
+        high = np.sqrt(sq + slack) - target
+        # decided: the whole interval [low, high] lies on one side of the limit
+        decided = np.maximum(high, -low) <= limit
+        decided |= np.maximum(low, -high) > limit
+        distances = np.sqrt(np.maximum(sq, 0.0))
+        undecided = np.flatnonzero(~decided)
+        for start in range(0, undecided.size, n):  # O(n |G| m) memory per block
+            pick = undecided[start:start + n]
+            diff = (x[iu[pick], None] - images[ju[pick]]).reshape(-1, m)
+            direct = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            distances[pick] = direct.reshape(len(pick), -1).min(axis=1)
+    return distances
 
 
 def euclidean_metric(P) -> FiniteMetricSpace:

@@ -31,7 +31,8 @@ from .errors import (
     VerificationFailure,
 )
 from .groups import FiniteGroup, OrthogonalAction
-from .metric import SnowflakeExponent, exponent_value
+from .embedding import check_point_count
+from .metric import SnowflakeExponent, exponent_value, orbit_distances, verified_distances
 from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances, spectral_threshold
 
 SCALE_NOTE = (
@@ -91,7 +92,9 @@ class QngEmbedding:
     square root's bound on the round-off of B's centring, and ``max_abs_error``
     against ``verification_tol`` = tol * (1 + largest target).  ``report`` is the
     verification, one record per pair of orbits i < j in row-major order, with
-    fields ``i, j, target, achieved, abs_error``.
+    fields ``i, j, target, achieved, abs_error``.  ``achieved``, min over the regular
+    permutations pi of |p_i - pi p_j|, is ``verified_distances``' Gram estimate within
+    its stated bound, or for the pairs that bound leaves undecided the direct value.
     """
 
     points: np.ndarray
@@ -106,19 +109,10 @@ class QngEmbedding:
     scale_note: str = SCALE_NOTE
 
 
-def _orbit_distances(reps: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """F[k, l, g] = ||g . x_l - x_k|| for the rows x_k of ``reps``.  The lifted distance
-    ||h . x_k - h' . x_l|| is F[k, l, h^-1 h'], and the quotient distance of orbits k
-    and l is the min over g of F[k, l, g].  The squares are summed one coordinate at
-    a time, in pdist's order; a sum that overflows is inf."""
-    images = np.stack([matrices @ x for x in reps])  # images[l, g] = g . x_l
-    sq = np.zeros((len(reps), len(reps), len(matrices)))
-    diff = np.empty_like(sq)
-    with np.errstate(over="ignore"):
-        for c in range(reps.shape[1]):
-            np.subtract(images[None, :, :, c], reps[:, None, None, c], out=diff)
-            sq += np.square(diff, out=diff)
-    return np.sqrt(sq, out=sq)
+def _orbit_images(reps: np.ndarray, action: OrthogonalAction) -> np.ndarray:
+    """images[l, g] = g . x_l.  With F = orbit_distances(reps, images), the lifted distance
+    ||h . x_k - h' . x_l|| is F[k, l, h^-1 h'], and orbits k, l are min over g of F apart."""
+    return np.stack([action.matrices @ x for x in reps])
 
 
 def quotient_distance(x, y, action: OrthogonalAction) -> float:
@@ -129,16 +123,17 @@ def quotient_distance(x, y, action: OrthogonalAction) -> float:
         raise DimensionMismatch(
             f"points of dimension {x.shape} / {y.shape} under an action on E^{action.dim}"
         )
-    return float(_orbit_distances(np.stack([x, y]), action.matrices)[0, 1].min())
+    return float(orbit_distances(x[None], _orbit_images(y[None], action)).min())
 
 
 def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> QuotientConfiguration:
     """Check that the representatives' orbits lift to a free configuration Y.
 
-    Every orbit must be free and orbits must be disjoint: all n |G| lifted
-    points pairwise separated by more than tol times the configuration scale,
-    which must be finite, judged on the orbit distances; the first close pair in
-    row-major lifted order names the failure.  Degenerate inputs are hard errors.
+    Y has n |G| <= MAX_POINTS points (else DomainError, before any orbit distance is
+    formed).  Every orbit must be free and orbits must be disjoint: all lifted points
+    pairwise separated by more than tol times the configuration scale, which must be
+    finite, judged on the orbit distances; the first close pair in row-major lifted
+    order names the failure.  Degenerate inputs are hard errors.
     """
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
     if not reps.size:
@@ -151,8 +146,9 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
     n = reps.shape[0]
     group = action.group
     order = group.order
+    check_point_count(n * order)
 
-    F = _orbit_distances(reps, action.matrices)
+    F = orbit_distances(reps, _orbit_images(reps, action))
     scale = float(F.max())
     if not np.isfinite(scale):  # distances overflow beyond about 1e154
         raise MetricValidationError("distances must be finite")
@@ -258,9 +254,9 @@ def qng_embed(
     ones/N + T e_(k, identity).  Spectrum and root are taken blockwise over the
     cycles of the first element of largest order (``_cyclic_root``), in r-fold
     smaller eigenproblems.  The achieved quotient distances (minima over the
-    permutation action) are verified against the snowflaked geometric quotient
-    distances, min over g of F, pair by pair.  Monotonicity of t -> t**alpha
-    makes the minimizing group element agree with the geometric minimizer.
+    permutation action, by ``verified_distances``) are verified against the snowflaked
+    geometric quotient distances, min over g of F, pair by pair.  Monotonicity of
+    t -> t**alpha makes the minimizing group element agree with the geometric minimizer.
 
     Requires 0 <= alpha < 1; the alpha = 1 endpoint is excluded because the
     construction relies on the strict positivity of B on the sum-zero
@@ -275,7 +271,7 @@ def qng_embed(
     size = Q.size
     e_idx = group.identity_index
 
-    F = _orbit_distances(Q.representatives, Q.action.matrices)
+    F = orbit_distances(Q.representatives, _orbit_images(Q.representatives, Q.action))
     power = np.minimum(F, F.transpose(1, 0, 2)[:, :, group.inverse]) ** (2.0 * alpha)
     # D[(k, h), (l, h')] = power[k, l, h^-1 h']; at alpha = 0 the power is 1
     # everywhere, the lifted diagonal included
@@ -288,6 +284,7 @@ def qng_embed(
     # B is invariant up to its centring's round-off, within tol (1 + max |B|), which
     # ||sqrt(A) - sqrt(C)||_2 <= ||A - C||_2**0.5 for A, C >= 0 turns into T's limit
     root_tol = (size * (tol * (1.0 + float(np.abs(B).max())))) ** 0.5
+    del D, B  # N x N each, freed before the N x N gather and images below
     defect_T = equivariance_defect(T, Q.action_permutations)
     if not defect_T <= root_tol:
         raise InvarianceViolation(defect_T, root_tol)
@@ -295,27 +292,16 @@ def qng_embed(
     base = np.full(size, 1.0 / size)
     points = base[None, :] + T[:, np.arange(n) * order + e_idx].T
 
-    # orbit i against every j > i at once: |p_i - pi p_j| over the regular
-    # permutations, in (n - i - 1, |G|, N) blocks, the same operations as a
-    # pair-by-pair loop (the square root of a sum of squares, as np.linalg.norm)
-    achieved = [np.empty(0)]  # a single orbit has no pairs
-    for i in range(n - 1):
-        # take, unlike fancy indexing, lays the gather out C-contiguous, so
-        # each norm sums one contiguous row as it does on a single pair
-        permuted = np.take(points[i + 1:], Q.action_permutations, axis=1)
-        np.subtract(permuted, points[i], out=permuted)
-        np.multiply(permuted, permuted, out=permuted)
-        achieved.append(np.sqrt(np.add.reduce(permuted, axis=2)).min(axis=1))
-    achieved = np.concatenate(achieved)
     # targets, min over g of |x_i - g x_j|, are quotient_distance's floats
-    iu, ju = np.triu_indices(n, k=1)
-    target = F.min(axis=2)[iu, ju] ** alpha
-    report = np.rec.fromarrays([iu, ju, target, achieved, np.abs(achieved - target)],
+    pairs = np.triu_indices(n, k=1)
+    target = F.min(axis=2)[pairs] ** alpha
+    verify_tol = tol * (1.0 + float(np.max(target, initial=0.0)))
+    achieved = verified_distances(points, points[:, Q.action_permutations], pairs, target,
+                                  verify_tol)
+    report = np.rec.fromarrays([*pairs, target, achieved, np.abs(achieved - target)],
                                names="i,j,target,achieved,abs_error")
-
     # np.max, unlike max, keeps a nan, which then fails the verification
     max_err = float(np.max(report.abs_error, initial=0.0))
-    verify_tol = tol * (1.0 + float(np.max(report.target, initial=0.0)))
     if not max_err <= verify_tol:
         raise VerificationFailure(max_err, verify_tol, report=report)
 

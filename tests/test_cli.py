@@ -533,6 +533,17 @@ class TestQuotientEmbed:
             expected = d[row["i"], row["j"]] ** 0.5
             assert row["achieved"] == pytest.approx(expected, abs=1e-9)
 
+    def test_point_cap_is_usage_error(self, c2_group_json, tmp_path, monkeypatch, capsys):
+        # two orbits of C2 lift to 4 points, one above the cap: no report
+        monkeypatch.setattr(embedding, "MAX_POINTS", 3)
+        reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
+        report_path = tmp_path / "report.json"
+        assert main(["quotient-embed", c2_group_json, reps, "--json", str(report_path)]) == 4
+        assert not report_path.exists()
+        err = capsys.readouterr().err
+        assert "point count 4 exceeds the configured cap 3" in err
+        assert "Traceback" not in err
+
     def test_alpha_one_rejected(self, c2_group_json, tmp_path):
         reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
         assert main(["quotient-embed", c2_group_json, reps, "--alpha", "1"]) == 4

@@ -237,6 +237,11 @@ class TestEmbeddingResidual:
         with pytest.raises(DimensionMismatch):
             embedding_residual(np.zeros((3, 1)), X)
 
+    def test_zero_dimensional_coordinates(self):
+        # every reconstructed distance is 0, one full target away
+        X = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert embedding_residual(np.zeros((3, 0)), X) == 1.0
+
     @pytest.mark.parametrize("points, alpha, accepted", [
         (np.random.default_rng(1).standard_normal((40, 3)), 0.5, True),
         (np.random.default_rng(2).standard_normal((60, 3)), 0.9, True),

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from snowflake_embed import (
+    close_group,
+    dihedral_action,
     euclidean_metric,
     point_cloud,
     snowflake,
@@ -24,7 +26,7 @@ from snowflake_embed.errors import (
     NotSymmetric,
     TriangleViolation,
 )
-from snowflake_embed.metric import SnowflakeExponent, pairwise_distances
+from snowflake_embed.metric import SnowflakeExponent, orbit_distances, pairwise_distances
 
 
 def reference_triangle_scan(d, tol):
@@ -262,8 +264,23 @@ class TestPairwiseDistances:
         d = pairwise_distances(coords)
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diagonal(d), np.zeros(len(coords)))
-        reference = squareform(pdist(coords))
-        assert (np.abs(d - reference) <= np.spacing(reference)).all()
+        assert np.array_equal(d, squareform(pdist(coords)))
+
+
+#: signed permutations of E^3, the hyperoctahedral group B3 of order 48
+B3_GENERATORS = [np.eye(3)[[1, 0, 2]], np.eye(3)[[1, 2, 0]], np.diag([-1.0, 1.0, 1.0])]
+
+
+class TestOrbitDistances:
+    @pytest.mark.parametrize("action", [dihedral_action(8), close_group(B3_GENERATORS)],
+                             ids=["d8", "b3"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    def test_equals_cdist(self, rng, action, scale):
+        reps = rng.standard_normal((7, action.dim)) * scale
+        images = np.stack([action.matrices @ x for x in reps])
+        F = orbit_distances(reps, images)
+        assert F.shape == (7, 7, action.group.order)
+        assert np.array_equal(F.reshape(7, -1), cdist(reps, images.reshape(-1, action.dim)))
 
 
 class TestSquaredDistanceMatrix:

@@ -16,6 +16,7 @@ from snowflake_embed import (
     snowflake_embed,
     trivial_action,
 )
+from snowflake_embed import embedding as embedding_module
 from snowflake_embed import quotient as quotient_module
 from snowflake_embed.errors import (
     DimensionMismatch,
@@ -28,7 +29,7 @@ from snowflake_embed.errors import (
     VerificationFailure,
 )
 from snowflake_embed.groups import FiniteGroup, OrthogonalAction
-from snowflake_embed.metric import pairwise_distances
+from snowflake_embed.metric import pairwise_distances, verified_distances
 from snowflake_embed.negative_type import centered_spectrum, gram_from_distances, spectral_threshold
 
 #: signed permutations of E^3, the hyperoctahedral group B3 of order 48
@@ -59,6 +60,29 @@ def free_reps(rng, action, n, low=0.5, high=2.5):
         except (NonFreeOrbit, OrbitCollision):
             continue
     raise AssertionError("could not sample a free configuration")
+
+
+def pair_loop(points, perms):
+    """The oracle: min over g of |p_i - pi_g p_j| by np.linalg.norm, one pair i < j at a time."""
+    return np.array([np.linalg.norm(points[j][perms] - points[i], axis=1).min()
+                     for i in range(len(points)) for j in range(i + 1, len(points))])
+
+
+def gram_bound(points):
+    """verified_distances' bound 2 beta_ij = 2 gamma_(m+4) (|p_i| + |p_j|)^2 on the gap
+    between the squares of its value and of one from differences, per pair i < j."""
+    k = points.shape[1] + 4
+    gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+    norms = np.linalg.norm(points, axis=1)
+    iu, ju = np.triu_indices(len(points), k=1)
+    return 2.0 * gamma * (norms[iu] + norms[ju]) ** 2
+
+
+def assert_report_matches_loop(points, perms, report, tol):
+    """Each achieved distance within the bound of the pair loop's, with the loop's verdict."""
+    loop = pair_loop(points, perms)
+    assert (np.abs(report.achieved ** 2 - loop ** 2) <= gram_bound(points)).all()
+    assert np.array_equal(report.abs_error <= tol, np.abs(loop - report.target) <= tol)
 
 
 class TestQuotientDistance:
@@ -146,6 +170,15 @@ class TestLiftOrbits:
     def test_non_finite_representatives_rejected(self, bad, message):
         with pytest.raises(MetricValidationError, match=message):
             lift_orbits([[1.0, 0.5], [bad, 2.0]], rotation_action(4))
+
+    def test_point_cap_before_orbit_distances(self, monkeypatch):
+        reps = [[1.0], [2.0], [3.0], [4.0]]  # N = n |G| = 8 lifted points
+        monkeypatch.setattr(embedding_module, "MAX_POINTS", 8)
+        assert lift_orbits(reps, reflection_action()).size == 8
+        monkeypatch.setattr(embedding_module, "MAX_POINTS", 7)
+        monkeypatch.setattr(quotient_module, "orbit_distances", None)  # never reached
+        with pytest.raises(DomainError, match="point count 8 exceeds the configured cap 7"):
+            lift_orbits(reps, reflection_action())
 
     def test_regular_permutation_structure(self):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
@@ -349,27 +382,46 @@ class TestQngEmbed:
     @pytest.mark.parametrize("action", [reflection_action(), rotation_action(16),
                                         dihedral_action(8)], ids=["c2", "c16", "d8"])
     def test_report_matches_pair_by_pair(self, action, rng):
-        # the vectorised report gives the floats of one pair at a time; targets
-        # are numpy's power of quotient_distance's floats
+        # targets are numpy's power of quotient_distance's floats; achieved is the
+        # pair loop's distance within the kernel's bound, with the loop's verdict
         config = free_reps(rng, action, 9)
         result = qng_embed(config, 0.5)
-        perms = config.action_permutations
-        pairs, dists, achieved = [], [], []
-        for i in range(config.n_orbits):
-            for j in range(i + 1, config.n_orbits):
-                reps = config.representatives
-                pairs.append((i, j))
-                dists.append(quotient_distance(reps[i], reps[j], action))
-                permuted = result.points[j][perms]
-                achieved.append(
-                    float(np.linalg.norm(permuted - result.points[i][None, :], axis=1).min()))
-        target = (np.array(dists) ** 0.5).tolist()
+        reps = config.representatives
+        pairs = [(i, j) for i in range(9) for j in range(i + 1, 9)]
+        target = (np.array([quotient_distance(reps[i], reps[j], action)
+                            for i, j in pairs]) ** 0.5).tolist()
         report = result.report
         assert report.dtype.names == ("i", "j", "target", "achieved", "abs_error")
         assert list(zip(report.i.tolist(), report.j.tolist())) == pairs
         assert report.target.tolist() == target
-        assert report.achieved.tolist() == achieved
-        assert report.abs_error.tolist() == [abs(a - t) for a, t in zip(achieved, target)]
+        assert report.abs_error.tolist() == [
+            abs(a - t) for a, t in zip(report.achieved.tolist(), target)]
+        assert_report_matches_loop(result.points, config.action_permutations, report,
+                                   result.verification_tol)
+
+    @pytest.mark.parametrize("action, reps", [
+        (reflection_action(), [[1.0], [1.0 + 1e-7], [3.0]]),
+        (dihedral_action(4), [[1.0, 0.3], [1.0, 0.3 + 1e-6], [2.0, 0.7]]),
+    ], ids=["c2", "d4"])
+    def test_tight_pair_is_recomputed(self, action, reps, monkeypatch):
+        # orbits 0 and 1 nearly touch: at alpha = 0.9 their target (5e-7 and 4e-6) is
+        # within the Gram form's error of the limit, so only coordinate differences
+        # (the one einsum of the kernel) can decide the pair
+        recomputed = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands):
+            recomputed.append(operands[0].copy())
+            return einsum(subscripts, *operands)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        config = lift_orbits(reps, action)
+        result = qng_embed(config, 0.9)
+        perms = config.action_permutations
+        tight = result.points[0] - result.points[1][perms]
+        assert any(np.array_equal(rows[:len(perms)], tight) for rows in recomputed)
+        assert result.report.achieved[0] == np.sqrt(einsum("ij,ij->i", tight, tight)).min()
+        assert_report_matches_loop(result.points, perms, result.report, result.verification_tol)
 
     def test_gram_root_is_psd(self):
         config = lift_orbits([[1.0, 0.4], [2.0, 1.0]], rotation_action(4))
@@ -578,3 +630,53 @@ class TestQuotientProperties:
         for g in range(config.group_order):
             for h in range(config.group_order):
                 assert np.array_equal(perms[g][perms[h]], perms[table[g, h]])
+
+
+#: cyclic, dihedral and Klein four actions on E^2
+REPORT_ACTIONS = [rotation_action(2), rotation_action(3), rotation_action(6), dihedral_action(3),
+                  dihedral_action(4), close_group(KLEIN_GENERATORS)]
+
+
+@st.composite
+def near_collisions(draw):
+    """An action and representatives, some of them moved 1e-9 to 1e-3 off the image
+    of another under a group element."""
+    action = draw(st.sampled_from(REPORT_ACTIONS))
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+    reps = [np.array(p) for p in draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(reps) - 1))
+        g = draw(st.integers(0, action.group.order - 1))
+        offset = draw(st.sampled_from([1e-9, 1e-7, 1e-5, 1e-3]))
+        direction = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+        reps.insert(draw(st.integers(0, len(reps))),
+                    action.matrices[g] @ reps[k] + offset * np.array(direction))
+    return action, np.array(reps)
+
+
+class TestReportAgainstPairLoop:
+    @given(case=near_collisions(), alpha=st.sampled_from([0.0, 0.3, 0.5, 0.9, 0.99]))
+    @settings(max_examples=80, deadline=None)
+    def test_verdicts_match_the_loop(self, case, alpha):
+        action, reps = case
+        try:
+            config = lift_orbits(reps, action, tol=1e-12)
+        except (NonFreeOrbit, OrbitCollision):
+            reject()
+        captured = []
+
+        def spy(x, images, pairs, target, limit):
+            captured.append(x)
+            return verified_distances(x, images, pairs, target, limit)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quotient_module, "verified_distances", spy)
+            try:
+                result = qng_embed(config, alpha)
+                report, tol = result.report, result.verification_tol
+            except VerificationFailure as exc:
+                report, tol = exc.report, exc.tol
+            except InvarianceViolation:
+                reject()
+        event("verified" if report.abs_error.max(initial=0.0) <= tol else "fails")
+        assert_report_matches_loop(captured[0], config.action_permutations, report, tol)
