@@ -1,5 +1,5 @@
 """Isometric Euclidean and quotient-space embeddings of snowflaked finite
-metric spaces, with negative-type and general-position certificates."""
+metric spaces, with negative-type and full-rank certificates."""
 
 from .embedding import (
     EmbeddingResult,
@@ -19,21 +19,14 @@ from .groups import (
 )
 from .metric import (
     FiniteMetricSpace,
-    PointCloud,
-    SnowflakeExponent,
     euclidean_metric,
-    point_cloud,
     snowflake,
-    squared_distance_matrix,
     validate_metric,
 )
 from .negative_type import (
     NegativeTypeReport,
-    WeightVector,
     check_negative_type,
     check_strict_negative_type,
-    general_position_certificate,
-    geometric_form_check,
     gram_from_distances,
     quadratic_form,
 )
@@ -47,11 +40,8 @@ from .quotient import (
 )
 from .schoenberg import (
     QuadratureSpec,
-    check_kernel_psd,
-    gaussian_kernel_matrix,
     schoenberg_constant,
     schoenberg_constant_quadrature,
-    strict_decomposition_check,
     verify_power_identity,
 )
 
@@ -63,14 +53,10 @@ __all__ = [
     "FiniteMetricSpace",
     "NegativeTypeReport",
     "OrthogonalAction",
-    "PointCloud",
     "QngEmbedding",
     "QuadratureSpec",
     "QuotientConfiguration",
     "SnowflakeError",
-    "SnowflakeExponent",
-    "WeightVector",
-    "check_kernel_psd",
     "check_negative_type",
     "check_strict_negative_type",
     "close_group",
@@ -79,12 +65,8 @@ __all__ = [
     "embedding_residual",
     "equivariance_defect",
     "euclidean_metric",
-    "gaussian_kernel_matrix",
-    "general_position_certificate",
-    "geometric_form_check",
     "gram_from_distances",
     "lift_orbits",
-    "point_cloud",
     "qng_embed",
     "quadratic_form",
     "quotient_distance",
@@ -94,8 +76,6 @@ __all__ = [
     "schoenberg_constant_quadrature",
     "snowflake",
     "snowflake_embed",
-    "squared_distance_matrix",
-    "strict_decomposition_check",
     "trivial_action",
     "validate_metric",
     "verify_power_identity",

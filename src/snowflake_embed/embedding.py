@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotEmbeddable, TheoremViolation
-from .metric import FiniteMetricSpace, SnowflakeExponent, exponent_value, verified_distances
+from .metric import FiniteMetricSpace, exponent_value, verified_distances
 from .negative_type import DEFAULT_TOL, snowflake_decision, spectral_decision
 
 #: Largest admissible relative distance-reconstruction error.
@@ -88,7 +88,7 @@ def _coordinates(X: FiniteMetricSpace, decision) -> EmbeddingResult:
 
 def snowflake_embed(
     X: FiniteMetricSpace,
-    a: SnowflakeExponent | float,
+    a: float,
     tol: float = DEFAULT_TOL,
 ) -> EmbeddingResult:
     """Embed the snowflake X**alpha and certify that its rank is exactly n-1.

@@ -78,26 +78,6 @@ class NotStrict(SnowflakeError):
         super().__init__(msg)
 
 
-class BadPartition(SnowflakeError):
-    """Weights do not split into a +1-sum nonnegative and a -1-sum nonpositive part."""
-
-    def __init__(self, positive_sum: float, negative_sum: float):
-        self.positive_sum = float(positive_sum)
-        self.negative_sum = float(negative_sum)
-        super().__init__(
-            f"weights must have positive part summing to 1 and negative part to -1; "
-            f"got {self.positive_sum!r} and {self.negative_sum!r}"
-        )
-
-
-class BadWeights(SnowflakeError):
-    """A weight vector required to sum to zero does not."""
-
-    def __init__(self, total: float):
-        self.total = float(total)
-        super().__init__(f"weights must sum to 0, got {self.total!r}")
-
-
 class NotEmbeddable(SnowflakeError):
     """The metric admits no isometric Euclidean embedding at the given tolerance;
     ``threshold`` decided it: the spectral threshold of ``eigenvalue``, or the

@@ -37,49 +37,12 @@ class FiniteMetricSpace:
     d: np.ndarray
 
 
-@dataclass(frozen=True)
-class SnowflakeExponent:
-    """Exponent for the snowflake transform d -> d**alpha, in [0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"snowflake exponent must lie in [0, 1], got {self.alpha!r}")
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """n points in Euclidean m-space, one point per row of ``coordinates``."""
-
-    n: int
-    m: int
-    coordinates: np.ndarray
-
-
-def exponent_value(a: SnowflakeExponent | float) -> float:
-    """Coerce a snowflake exponent (or plain float) to a validated float."""
-    if isinstance(a, SnowflakeExponent):
-        return a.alpha
-    return SnowflakeExponent(float(a)).alpha
-
-
-def point_cloud(points) -> PointCloud:
-    """Build a PointCloud from an (n, m) array of row vectors."""
-    coords = np.atleast_2d(np.asarray(points, dtype=float))
-    if coords.ndim != 2:
-        raise DimensionMismatch(f"points must form a 2-d array, got shape {coords.shape}")
-    if not np.isfinite(coords).all():
-        raise MetricValidationError("coordinates must be finite")
-    coords = coords.copy()
-    coords.flags.writeable = False
-    return PointCloud(n=coords.shape[0], m=coords.shape[1], coordinates=coords)
-
-
-def as_point_cloud(P) -> PointCloud:
-    if isinstance(P, PointCloud):
-        return P
-    return point_cloud(P)
+def exponent_value(a: float) -> float:
+    """A snowflake exponent as a float in [0, 1], else DomainError."""
+    alpha = float(a)
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"snowflake exponent must lie in [0, 1], got {alpha!r}")
+    return alpha
 
 
 def _frozen_metric(d: np.ndarray) -> FiniteMetricSpace:
@@ -117,29 +80,31 @@ def validate_metric(matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
         i, j = np.argwhere(bad)[0]
         raise NonpositiveOffDiagonal(i, j, d[i, j])
 
-    # scipy only here, so that point-cloud commands start without importing it
-    from scipy.sparse.csgraph import shortest_path
-
     slack = tol * d.max() if n > 1 else 0.0
-    # Pass test in compiled code: Floyd-Warshall keeps minima of computed
-    # sums, and rounding is monotone, so sp[i, j] <= fl(d[i, k] + d[k, j])
-    # for every k and d <= sp + slack implies the loop below finds nothing.
-    # When the test fails, the loop decides and names the first violation
-    # (or none: a path of three or more hops can undercut every two-hop
-    # path by more than the slack).
-    if (d <= shortest_path(d, method="FW", directed=False) + slack).all():
-        return _frozen_metric(d)
     for k in range(n):
         via = d[:, [k]] + d[[k], :]
         viol = d > via + slack
         if viol.any():
             i, j = np.argwhere(viol)[0]
             raise TriangleViolation(i, j, k, d[i, j], via[i, j])
+        if k == 0:
+            # Once no violation runs through point 0, the pass test in compiled
+            # code: Floyd-Warshall keeps minima of computed sums, and rounding
+            # is monotone, so sp[i, j] <= fl(d[i, k] + d[k, j]) for every k and
+            # d <= sp + slack implies the rest of the loop finds nothing.  When
+            # the test fails, the loop decides and names the first violation
+            # (or none: a path of three or more hops can undercut every two-hop
+            # path by more than the slack).  scipy only here, so that
+            # point-cloud commands start without importing it.
+            from scipy.sparse.csgraph import shortest_path
+
+            if (d <= shortest_path(d, method="FW", directed=False) + slack).all():
+                break
 
     return _frozen_metric(d)
 
 
-def snowflake(X: FiniteMetricSpace, a: SnowflakeExponent | float) -> FiniteMetricSpace:
+def snowflake(X: FiniteMetricSpace, a: float) -> FiniteMetricSpace:
     """Raise every distance to the power alpha.
 
     For alpha in (0, 1] the result is again a metric because t -> t**alpha
@@ -222,22 +187,20 @@ def verified_distances(x: np.ndarray, images: np.ndarray, pairs: tuple, target: 
 
 
 def euclidean_metric(P) -> FiniteMetricSpace:
-    """Distance matrix of a point cloud with pairwise-distinct rows.
+    """Distance matrix of the points, the rows of an (n, m) array, which must be finite
+    and pairwise distinct.
 
     The result is a metric by construction, so it needs no triangle scan.
     """
-    cloud = as_point_cloud(P)
-    d = pairwise_distances(cloud.coordinates)
+    coords = np.atleast_2d(np.asarray(P, dtype=float))
+    if coords.ndim != 2:
+        raise DimensionMismatch(f"points must form a 2-d array, got shape {coords.shape}")
+    if not np.isfinite(coords).all():
+        raise MetricValidationError("coordinates must be finite")
+    d = pairwise_distances(coords)
     if not np.isfinite(d).all():
         raise MetricValidationError("distances must be finite")
-    off = ~np.eye(cloud.n, dtype=bool)
-    dup = off & (d == 0.0)
+    dup = np.triu(d == 0.0, k=1)
     if dup.any():
-        pairs = [(i, j) for i, j in np.argwhere(dup) if i < j]
-        raise DuplicatePoints(pairs)
+        raise DuplicatePoints(np.argwhere(dup))
     return _frozen_metric(d)
-
-
-def squared_distance_matrix(X: FiniteMetricSpace) -> np.ndarray:
-    """Entrywise square of the distance matrix."""
-    return X.d ** 2

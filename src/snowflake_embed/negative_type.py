@@ -1,4 +1,4 @@
-"""Quadratic forms of negative type and general-position certificates.
+"""Quadratic forms of negative type and the one spectral decision.
 
 A finite metric is of negative type when L D L^T <= 0 for every weight
 vector L with zero sum, D being the squared-distance matrix; by Schoenberg's
@@ -10,40 +10,20 @@ subspace, so we diagonalize that restriction instead of searching over L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPartition, DimensionMismatch, DomainError, NotStrict
-from .metric import (
-    DEFAULT_TOL,
-    FiniteMetricSpace,
-    SnowflakeExponent,
-    as_point_cloud,
-    euclidean_metric,
-    exponent_value,
-    pairwise_distances,
-    snowflake,
-    squared_distance_matrix,
-)
-
-#: Absolute tolerance on weight-vector sum constraints.
-WEIGHT_SUM_TOL = 1e-12
+from .errors import DimensionMismatch, DomainError, NotStrict
+from .metric import DEFAULT_TOL, FiniteMetricSpace, exponent_value, snowflake
 
 #: The reason of a failed hypothesis of the theorem: X itself is not of negative type.
 HYPOTHESIS_FAILS = "input metric is not of negative type"
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """A vector of real weights; operations that need sum zero enforce it."""
-
-    lam: np.ndarray
-
-
-@dataclass(frozen=True)
 class NegativeTypeReport:
-    """Outcome of a spectral negative-type or general-position test.
+    """Outcome of the spectral negative-type test.
 
     ``min_eigenvalue`` is the smallest eigenvalue of -1/2 P D P restricted
     to the sum-zero subspace (the trivial zero along the all-ones direction
@@ -63,12 +43,6 @@ class NegativeTypeReport:
     def embeddable(self) -> bool:
         """Alias: negative type is equivalent to Hilbert-space embeddability."""
         return self.is_negative_type
-
-
-def as_weights(lam) -> np.ndarray:
-    if isinstance(lam, WeightVector):
-        return np.asarray(lam.lam, dtype=float)
-    return np.asarray(lam, dtype=float)
 
 
 def gram_from_distances(D) -> np.ndarray:
@@ -117,7 +91,7 @@ def centered_spectrum(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def quadratic_form(D, lam) -> float:
     """Evaluate L D L^T without forming any matrix larger than D."""
     D = np.asarray(D, dtype=float)
-    lam = as_weights(lam)
+    lam = np.asarray(lam, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1] or lam.shape != (D.shape[0],):
         raise DimensionMismatch(
             f"incompatible shapes: D {D.shape}, weights {lam.shape}"
@@ -143,7 +117,7 @@ def spectral_decision(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
     eigenvector of the smallest eigenvalue.  Returns the report, the ascending
     eigenvalues, the (n, n-1) sum-zero eigenvectors and the kept mask.
     """
-    evals, vecs = centered_spectrum(gram_from_distances(squared_distance_matrix(X)))
+    evals, vecs = centered_spectrum(gram_from_distances(X.d ** 2))
     threshold = spectral_threshold(evals, tol)
     min_eig = float(evals.min(initial=np.inf))
     strict = min_eig > threshold
@@ -175,7 +149,7 @@ def snowflake_decision(X: FiniteMetricSpace, alpha: float, tol: float, failure):
 
 def check_strict_negative_type(
     X: FiniteMetricSpace,
-    a: SnowflakeExponent | float,
+    a: float,
     tol: float = DEFAULT_TOL,
 ) -> NegativeTypeReport:
     """Assert the snowflaked metric is of *strict* negative type.
@@ -194,46 +168,3 @@ def check_strict_negative_type(
         raise NotStrict(report.min_eigenvalue, report.threshold, witness=report.witness,
                         reason="strictness margin not met")
     return report
-
-
-def geometric_form_check(P, lam) -> tuple[float, float]:
-    """Evaluate both sides of the centroid identity L D L^T = -2 |x+ - x-|^2.
-
-    The weights must split into a nonnegative part summing to +1 and a
-    nonpositive part summing to -1.  x+ and x- are the corresponding convex
-    combinations of the points (the negative part enters with |lam_i|, which
-    is the reading under which the identity balances).  Coincident points
-    are allowed.
-    """
-    cloud = as_point_cloud(P)
-    lam = as_weights(lam)
-    if lam.shape != (cloud.n,):
-        raise DimensionMismatch(
-            f"weights shape {lam.shape} does not match {cloud.n} points"
-        )
-    pos = lam > 0.0
-    neg = lam < 0.0
-    pos_sum = float(lam[pos].sum())
-    neg_sum = float(lam[neg].sum())
-    if abs(pos_sum - 1.0) > WEIGHT_SUM_TOL or abs(neg_sum + 1.0) > WEIGHT_SUM_TOL:
-        raise BadPartition(pos_sum, neg_sum)
-
-    D = pairwise_distances(cloud.coordinates) ** 2
-    lhs = float(lam @ D @ lam)
-    x_plus = lam[pos] @ cloud.coordinates[pos]
-    x_minus = (-lam[neg]) @ cloud.coordinates[neg]
-    gap = x_plus - x_minus
-    rhs = -2.0 * float(gap @ gap)
-    return lhs, rhs
-
-
-def general_position_certificate(P, tol: float = DEFAULT_TOL) -> NegativeTypeReport:
-    """Certify that points are affinely independent, or produce a witness.
-
-    The points are in general position iff the only sum-zero L with
-    L D L^T = 0 is L = 0, decided through the restricted spectrum of the
-    centered form.  A degenerate configuration yields a nonzero sum-zero
-    witness - an affine dependence certificate.
-    """
-    # a Euclidean metric is of negative type by construction
-    return replace(check_negative_type(euclidean_metric(P), tol), is_negative_type=True)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, OrthogonalAction
 from .embedding import check_point_count
-from .metric import SnowflakeExponent, exponent_value, orbit_distances, verified_distances
+from .metric import exponent_value, orbit_distances, verified_distances
 from .negative_type import DEFAULT_TOL, centered_spectrum, gram_from_distances, spectral_threshold
 
 SCALE_NOTE = (
@@ -49,11 +49,13 @@ class QuotientConfiguration:
 
     Lifted index k * |G| + h stands for h . representatives[k]; the permutation
     for g sends that index to k * |G| + (g h), the left regular action on
-    each block.
+    each block.  ``distances`` is the read-only orbit-distance array
+    F[k, l, g] = ||g . x_l - x_k|| on which ``lift_orbits`` judged the orbits.
     """
 
     representatives: np.ndarray
     action: OrthogonalAction
+    distances: np.ndarray
 
     @property
     def n_orbits(self) -> int:
@@ -169,7 +171,8 @@ def lift_orbits(reps, action: OrthogonalAction, tol: float = DEFAULT_TOL) -> Quo
 
     reps = reps.copy()
     reps.flags.writeable = False
-    return QuotientConfiguration(representatives=reps, action=action)
+    F.flags.writeable = False
+    return QuotientConfiguration(representatives=reps, action=action, distances=F)
 
 
 def equivariance_defect(T, perms) -> float:
@@ -242,14 +245,14 @@ def _cyclic_root(B: np.ndarray, cycles: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def qng_embed(
     Q: QuotientConfiguration,
-    a: SnowflakeExponent | float,
+    a: float,
     tol: float = DEFAULT_TOL,
 ) -> QngEmbedding:
     """Embed the snowflaked orbit space into the canonical quotient target.
 
     Pipeline: squared snowflaked distances of the lifted points, gathered from the
-    orbit distances F symmetrised as min(F[k, l, g], F[l, k, g^-1]) and so exactly
-    symmetric and invariant; the induced form B = -1/2 P D P and its symmetric
+    orbit distances F = ``Q.distances`` symmetrised as min(F[k, l, g], F[l, k, g^-1])
+    and so exactly symmetric and invariant; the induced form B = -1/2 P D P and its symmetric
     square root T, checked to commute with every regular permutation; points
     ones/N + T e_(k, identity).  Spectrum and root are taken blockwise over the
     cycles of the first element of largest order (``_cyclic_root``), in r-fold
@@ -271,7 +274,7 @@ def qng_embed(
     size = Q.size
     e_idx = group.identity_index
 
-    F = orbit_distances(Q.representatives, _orbit_images(Q.representatives, Q.action))
+    F = Q.distances
     power = np.minimum(F, F.transpose(1, 0, 2)[:, :, group.inverse]) ** (2.0 * alpha)
     # D[(k, h), (l, h')] = power[k, l, h^-1 h']; at alpha = 0 the power is 1
     # everywhere, the lifted diagonal included

@@ -1,4 +1,4 @@
-"""Integral representation of fractional powers and Gaussian kernel positivity.
+"""Integral representation of fractional powers.
 
 For 0 < a < 1 and t > 0,
 
@@ -7,11 +7,11 @@ For 0 < a < 1 and t > 0,
 with c(a) = 2a / Gamma(1 - a).  The closed form for c is treated as derived
 rather than given: this module evaluates the improper integral with numpy
 alone, as a series head, adaptive Gauss-Legendre panels in ln lam and a
-closed-form tail, so the closed form can be cross-validated, and replays the
-same integral against weighted sums of Gaussian kernels, which is what makes
-snowflaked negative-type forms strictly negative.  Every split point scales
-with the largest t, so the relative accuracy of a single term is the same for
-every t in the domain.
+closed-form tail, so the closed form can be cross-validated.  It takes weighted
+sums of such terms, the form in which the integral makes snowflaked
+negative-type forms strictly negative.  Every split point scales with the
+largest t, so the relative accuracy of a single term is the same for every t
+in the domain.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadWeights,
-    DimensionMismatch,
-    DomainError,
-    QuadratureNonconvergence,
-)
-from .metric import as_point_cloud, euclidean_metric, pairwise_distances
-from .negative_type import WEIGHT_SUM_TOL, as_weights
+from .errors import DomainError, QuadratureNonconvergence
 
 #: Beyond exp(-_TAIL_EXPONENT) every kernel term is below 1e-18 and the
 #: remaining tail integrates in closed form.
@@ -203,59 +196,3 @@ def verify_power_identity(
     rhs = schoenberg_constant(a) * power_kernel_integral([(1.0, t)], a, spec)
     lhs = t ** (2.0 * a)
     return lhs, rhs, abs(lhs - rhs) / lhs
-
-
-def gaussian_kernel_matrix(P, lam: float) -> np.ndarray:
-    """S[i][j] = exp(-lam^2 ||p_i - p_j||^2); symmetric with unit diagonal."""
-    lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"kernel scale must be positive, got {lam!r}")
-    cloud = as_point_cloud(P)
-    sq = pairwise_distances(cloud.coordinates) ** 2
-    return np.exp(-(lam * lam) * sq)
-
-
-def check_kernel_psd(S, tol: float = 1e-10) -> tuple[bool, float]:
-    """Full-spectrum positive-semidefiniteness test (all weight vectors, not
-    just sum-zero ones)."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DomainError(f"kernel matrix must be square, got {S.shape}")
-    if (S != S.T).any():
-        raise ValueError("kernel matrix must be symmetric")
-    min_eig = float(np.linalg.eigvalsh(S)[0])
-    return min_eig >= -tol, min_eig
-
-
-def strict_decomposition_check(
-    P,
-    a: float,
-    lam,
-    grid: QuadratureSpec | None = None,
-) -> tuple[float, float]:
-    """Replay the kernel decomposition of the snowflaked form.
-
-    For sum-zero weights L over distinct points, L D^a L^T (on squared
-    snowflaked distances) equals c(a) times the integral of L (-S(lam)) L^T
-    lam^(-1-2a), S the Gaussian kernel matrix; the constant-one kernel
-    terms cancel exactly because L sums to zero.  Returns
-    (form_value, integral_value); for nonzero L the form value is strictly
-    negative.
-    """
-    a = _check_exponent(a)
-    lam = as_weights(lam)
-    total = float(lam.sum())
-    if abs(total) > WEIGHT_SUM_TOL * max(1.0, float(np.abs(lam).max(initial=0.0))):
-        raise BadWeights(total)
-    cloud = as_point_cloud(P)
-    if lam.shape != (cloud.n,):
-        raise DimensionMismatch(
-            f"weights shape {lam.shape} does not match {cloud.n} points"
-        )
-    d = euclidean_metric(cloud).d
-
-    form_value = float(lam @ (d ** (2.0 * a)) @ lam)
-    iu, ju = np.triu_indices(cloud.n, k=1)
-    terms = [(2.0 * lam[i] * lam[j], d[i, j]) for i, j in zip(iu, ju)]
-    integral_value = schoenberg_constant(a) * power_kernel_integral(terms, a, grid)
-    return form_value, integral_value

@@ -13,7 +13,6 @@ from snowflake_embed import (
     quadratic_form,
     snowflake,
     snowflake_embed,
-    squared_distance_matrix,
     validate_metric,
 )
 from snowflake_embed.errors import (
@@ -24,6 +23,8 @@ from snowflake_embed.errors import (
 )
 from snowflake_embed.metric import pairwise_distances
 from snowflake_embed.negative_type import spectral_decision
+
+from oracles import general_position_certificate
 
 
 class TestGramFromDistances:
@@ -39,7 +40,7 @@ class TestGramFromDistances:
         assert np.allclose(gram_from_distances(D), 0.5 * P, atol=1e-15)
 
     def test_annihilates_ones(self, rng, make_cloud):
-        D = squared_distance_matrix(euclidean_metric(make_cloud(7, 3)))
+        D = euclidean_metric(make_cloud(7, 3)).d ** 2
         B = gram_from_distances(D)
         assert np.array_equal(B, B.T)
         assert np.abs(B @ np.ones(7)).max() < 1e-12
@@ -71,7 +72,7 @@ class TestEmbed:
         assert exc.value.eigenvalue == pytest.approx(-0.25, abs=1e-12)
         w = exc.value.witness
         assert abs(w.sum()) < 1e-9
-        assert quadratic_form(squared_distance_matrix(X), w) > 0
+        assert quadratic_form(X.d ** 2, w) > 0
 
     def test_equilateral_triangle(self):
         X = validate_metric(np.ones((3, 3)) - np.eye(3))
@@ -183,8 +184,6 @@ class TestSnowflakeEmbed:
     def test_coordinates_are_in_general_position(self, rng, make_cloud):
         # full rank n-1 says exactly that the embedded snowflake points are
         # affinely independent; the independent certificate must agree
-        from snowflake_embed import general_position_certificate
-
         for _ in range(5):
             n = int(rng.integers(3, 12))
             X = euclidean_metric(make_cloud(n, 2))

