@@ -60,8 +60,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_table(path: Path, key: str) -> np.ndarray:
@@ -238,7 +241,10 @@ def _metric_input(args, report: _Report) -> tuple[np.ndarray, bool]:
 def _validated(args, report: _Report, loaded, label: str):
     """The metric of a ``_load_metric_matrix`` result; an error on the way is
     the report's violation.  A point cloud becomes its Euclidean metric, a
-    metric by construction, without the O(n^3) triangle scan."""
+    metric by construction, without a triangle scan.  A distance matrix passes
+    ``validate_metric``: O(n^2 r) time when it is Euclidean of rank r <=
+    ceil(sqrt(n)), whose verified coordinates prove the triangle inequality, and
+    the O(n^3) Floyd-Warshall scan otherwise."""
     matrix, cloud = loaded
     report.failure = ("violation", label)
     X = euclidean_metric(matrix) if cloud else validate_metric(matrix, tol=args.tol)

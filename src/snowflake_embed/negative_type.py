@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotStrict
-from .metric import DEFAULT_TOL, FiniteMetricSpace, exponent_value, snowflake
+from .metric import (DEFAULT_TOL, FiniteMetricSpace, exponent_value, gram_from_distances,
+                     snowflake)
 
 #: The reason of a failed hypothesis of the theorem: X itself is not of negative type.
 HYPOTHESIS_FAILS = "input metric is not of negative type"
@@ -43,23 +44,6 @@ class NegativeTypeReport:
     def embeddable(self) -> bool:
         """Alias: negative type is equivalent to Hilbert-space embeddability."""
         return self.is_negative_type
-
-
-def gram_from_distances(D) -> np.ndarray:
-    """Double centering: B = -1/2 P D P with P = I - ones/n.
-
-    B is symmetric and annihilates the all-ones vector.
-    """
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise DimensionMismatch(f"squared-distance matrix must be square, got {D.shape}")
-    if (D != D.T).any():
-        raise ValueError("squared-distance matrix must be symmetric")
-    if (np.diagonal(D) != 0.0).any():
-        raise ValueError("squared-distance matrix must have zero diagonal")
-    r = D.mean(axis=1)
-    B = -0.5 * (D - r[:, None] - r[None, :] + r.mean())
-    return 0.5 * (B + B.T)
 
 
 def centered_spectrum(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -743,29 +743,58 @@ def test_non_finite_floats_written_as_null(case, tmp_path, capsys):
         assert node is None, where
 
 
-def test_point_cloud_commands_start_without_scipy(tmp_path):
+def test_point_cloud_commands_start_without_scipy(tmp_path, claw_matrix):
     # a fresh interpreter: scipy is imported only by validate_metric's
-    # shortest-path pass, which point clouds never reach
+    # Floyd-Warshall pass, which point clouds and Euclidean distance matrices
+    # of rank up to ceil(sqrt(n)) never reach; a shortest-path matrix does
     cloud = write_json(tmp_path / "cloud.json",
                        {"points": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]})
     group = write_json(tmp_path / "c2.json", {"dim": 1, "generators": [[[-1.0]]]})
     reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0], [2.0]]})
-    matrix = write_json(tmp_path / "matrix.json", {"distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})
+    grid = np.stack(np.meshgrid(np.arange(2.0), np.arange(2.0), np.arange(4.0)), -1)
+    matrix = write_json(tmp_path / "matrix.json",
+                        {"distances": pairwise_distances(grid.reshape(-1, 3)).tolist()})
+    claw = write_json(tmp_path / "claw.json", {"distances": claw_matrix.tolist()})
     argvs = [["embed", cloud, "--alpha", "0.5"], ["negtype", cloud, "--strict", "--alpha", "0.5"],
-             ["schoenberg", "--alpha", "0.5"], ["quotient-embed", group, reps]]
+             ["schoenberg", "--alpha", "0.5"], ["quotient-embed", group, reps],
+             ["validate", matrix], ["negtype", matrix, "--strict", "--alpha", "0.5"],
+             ["embed", matrix], ["embed", matrix, "--alpha", "0.5"]]
     snippet = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
         "from snowflake_embed.cli import main\n"
+        "def scipy_loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         f"codes = [main(argv) for argv in {argvs!r}]\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        f"codes.append(main(['validate', {matrix!r}]))\n"
-        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+        "before = scipy_loaded()\n"
+        f"codes.append(main(['validate', {claw!r}]))\n"
+        "print(json.dumps({'codes': codes, 'before': before,\n"
+        "                  'after': 'scipy.sparse.csgraph' in scipy_loaded()}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True,
                           check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 0, 0], "scipy": []}
+    assert result == {"codes": [0] * 9, "before": [], "after": True}
+
+
+@pytest.mark.parametrize("role", ["metric", "group", "representatives"])
+def test_json_that_is_not_utf8_is_parse_error(role, c2_group_json, tmp_path, capsys):
+    # a byte 0xff, never valid UTF-8, inside an otherwise valid JSON input
+    bodies = {"metric": '{"distances": [[0, 1], [1, 0]], "note": "@"}',
+              "group": '{"dim": 1, "generators": [[[-1.0]]], "note": "@"}',
+              "representatives": '{"representatives": [[1.0]], "note": "@"}'}
+    bad = tmp_path / f"{role}.json"
+    bad.write_bytes(bodies[role].encode().replace(b"@", b"\xff"))
+    reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
+    argv = {"metric": ["validate", str(bad)],
+            "group": ["quotient-embed", str(bad), reps],
+            "representatives": ["quotient-embed", c2_group_json, str(bad)]}[role]
+    report = tmp_path / "report.json"
+    assert main([*argv, "--json", str(report)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not report.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(bad) in err
 
 
 def test_schoenberg_far_from_one_is_finite(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,8 +25,12 @@ from snowflake_embed.errors import (
     NotSymmetric,
     TriangleViolation,
 )
-from snowflake_embed import negative_type
+from snowflake_embed import metric, negative_type
 from snowflake_embed.metric import exponent_value, orbit_distances, pairwise_distances
+from snowflake_embed.negative_type import spectral_decision
+
+#: Unit roundoff of a double, 2**-53.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 
 def reference_triangle_scan(d, tol):
@@ -40,6 +45,10 @@ def reference_triangle_scan(d, tol):
             i, j = np.argwhere(viol)[0]
             return int(i), int(j), k, float(d[i, j]), float(via[i, j])
     return None
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("called although the input needs no such proof")
 
 
 def perturbed_metric(rng, n, kind, bumps, scale):
@@ -161,10 +170,169 @@ class TestValidateMetric:
         v = exc.value
         assert (v.i, v.j, v.k, v.direct, v.via) == expected
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        kind=st.sampled_from(["cloud", "line"]),
+        bumps=st.integers(0, 3),
+        amount=st.sampled_from([1.0 / 3.0, 1.0 - 4.0 * UNIT_ROUNDOFF, 1.0 + 4.0 * UNIT_ROUNDOFF]),
+        tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_euclidean_witness_verdict_matches_reference(self, seed, n, kind, bumps, amount,
+                                                         tol):
+        # Euclidean inputs, which the witness may decide, with entries moved by
+        # a third of the slack or by the slack itself to within a few roundings
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        if kind == "cloud":
+            d = pairwise_distances(rng.standard_normal((n, 3)) * scale)
+        else:  # a collinear grid: d_ij = d_ik + d_kj exactly for k between i and j
+            d = pairwise_distances(rng.permutation(3 * n)[:n, None] * scale)
+        slack = tol * d.max()
+        for _ in range(bumps):
+            i, j = rng.choice(n, size=2, replace=False)
+            d[i, j] = d[j, i] = d[i, j] + rng.choice([-1.0, 1.0]) * amount * slack
+        expected = reference_triangle_scan(d, tol)
+        if metric._euclidean_witness(d, slack):
+            assert expected is None
+        if expected is None:
+            assert np.array_equal(validate_metric(d, tol=tol).d, d)
+        else:
+            with pytest.raises(TriangleViolation) as exc:
+                validate_metric(d, tol=tol)
+            v = exc.value
+            assert (v.i, v.j, v.k, v.direct, v.via) == expected
+
+    @pytest.mark.parametrize("share", [0.33, 0.34])
+    def test_witness_limit_is_a_third_of_the_slack(self, share, monkeypatch):
+        # the points 0, 1/4, 1/2 of a line, every distance off by t in the
+        # direction that opens the triangle (0, 2) via 1 by 3t: the witness
+        # accepts these coordinates while 3t is within the slack, and must
+        # refuse them beyond it, where the input violates the inequality
+        monkeypatch.setattr(metric, "_pivoted_cholesky",
+                            lambda G, cap: np.array([[0.0, 0.25, 0.5]]))
+        tol = 1e-9
+        t = share * tol * 0.5
+        d = np.array([[0.0, 0.25 - t, 0.5 + t], [0.25 - t, 0.0, 0.25 - t],
+                      [0.5 + t, 0.25 - t, 0.0]])
+        holds = reference_triangle_scan(d, tol) is None
+        assert holds == (share < 1.0 / 3.0)
+        assert metric._euclidean_witness(d, tol * d.max()) == holds
+
+    @staticmethod
+    def shortest_path_calls(monkeypatch, forbid=False):
+        """The calls of validate_metric's Floyd-Warshall pass test, which raise if
+        ``forbid``."""
+        import scipy.sparse.csgraph
+
+        calls, shortest_path = [], scipy.sparse.csgraph.shortest_path
+
+        def recorded(*args, **kwargs):
+            if forbid:
+                raise AssertionError("a Euclidean input reached the Floyd-Warshall pass test")
+            calls.append(args[0].shape)
+            return shortest_path(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.csgraph, "shortest_path", recorded)
+        return calls
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_points_skip_both_proofs(self, n, tol, monkeypatch):
+        # no triangle has three distinct points: the loop alone decides
+        self.shortest_path_calls(monkeypatch, forbid=True)
+        monkeypatch.setattr(metric, "_euclidean_witness", refuse)
+        d = pairwise_distances(np.arange(float(n))[:, None])
+        assert np.array_equal(validate_metric(d, tol=tol).d, d)
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(1).standard_normal((5, 3)),
+        np.random.default_rng(2).standard_normal((60, 3)),
+        np.random.default_rng(3).standard_normal((300, 3)) * 1e4,
+        np.arange(450.0)[:, None],
+        np.stack(np.meshgrid(np.arange(12.0), np.arange(9.0)), axis=-1).reshape(-1, 2),
+    ], ids=["cloud5", "cloud60", "cloud300", "line450", "grid12x9"])
+    def test_euclidean_inputs_skip_floyd_warshall(self, points, monkeypatch):
+        self.shortest_path_calls(monkeypatch, forbid=True)
+        d = pairwise_distances(points)
+        assert np.array_equal(validate_metric(d, tol=1e-9).d, d)
+
+    @pytest.mark.parametrize("case", ["claw", "paths", "cloud450x30", "tol0", "range"])
+    def test_other_inputs_reach_floyd_warshall(self, case, claw_matrix, monkeypatch):
+        rng = np.random.default_rng(4)
+        tol = 1e-9
+        if case == "claw":  # not of negative type, so not Euclidean
+            d = claw_matrix
+        elif case == "paths":
+            d = perturbed_metric(rng, 40, "paths", 0, 0.0)
+        elif case == "cloud450x30":  # rank 30, above the witness's cap of ceil(sqrt(450))
+            d = pairwise_distances(rng.standard_normal((450, 30)))
+        elif case == "tol0":  # no slack to verify against
+            d, tol = pairwise_distances(rng.standard_normal((20, 3))), 0.0
+        else:  # a dynamic range past 2**400, where squares would underflow
+            d = pairwise_distances(np.array([[0.0], [2.0 ** -420], [1.0], [3.0]]))
+        assert reference_triangle_scan(d, tol) is None
+        calls = self.shortest_path_calls(monkeypatch)
+        validate_metric(d, tol=tol)
+        assert calls == [d.shape]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_extreme_scales_keep_their_verdicts(self, scale, monkeypatch):
+        # d o d overflows or underflows at these scales unless the witness
+        # rescales; a RuntimeWarning would fail the test
+        self.shortest_path_calls(monkeypatch, forbid=True)
+        rng = np.random.default_rng(5)
+        d = pairwise_distances(rng.standard_normal((40, 3))) * scale
+        assert np.array_equal(validate_metric(d).d, d)
+        d[3, 17] = d[17, 3] = 3.0 * (d[3, 0] + d[0, 17])
+        expected = reference_triangle_scan(d, 1e-9)
+        with pytest.raises(TriangleViolation) as exc:
+            validate_metric(d)
+        v = exc.value
+        assert (v.i, v.j, v.k, v.direct, v.via) == expected
+
+    def test_witness_peak_within_spectral_decision(self, rng):
+        # the witness stays below the memory of the spectral decision that
+        # negtype and embed run next, so their process peak cannot rise
+        d = pairwise_distances(rng.standard_normal((450, 3)))
+        X = validate_metric(d)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: validate_metric(d)) <= peak(lambda: spectral_decision(X))
+
     def test_result_is_readonly(self):
         X = validate_metric([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             X.d[0, 1] = 5.0
+
+
+class TestPivotedCholesky:
+    def test_factors_a_low_rank_gram_matrix(self, rng):
+        x = rng.standard_normal((30, 3))
+        x -= x.mean(axis=0)
+        G = x @ x.T
+        rows = metric._pivoted_cholesky(G, 30)
+        assert rows.shape == (3, 30)
+        assert np.allclose(rows.T @ rows, G, rtol=0, atol=1e-12 * np.abs(G).max())
+
+    def test_gives_up_on_an_indefinite_form(self, claw_matrix):
+        # the claw is not of negative type: its centred form has a negative eigenvalue
+        G = metric.gram_from_distances(claw_matrix ** 2)
+        assert np.linalg.eigvalsh(G)[0] < 0.0
+        assert metric._pivoted_cholesky(G, 4) is None
+
+    def test_gives_up_past_the_cap(self, rng):
+        x = rng.standard_normal((30, 6))
+        assert metric._pivoted_cholesky(x @ x.T, 5) is None
+        assert len(metric._pivoted_cholesky(x @ x.T, 6)) == 6
 
 
 class TestSnowflake:
