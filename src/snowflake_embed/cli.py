@@ -5,15 +5,24 @@ fails (details in the report payload), 3 I/O or parse trouble, 4 usage
 errors.  Runs are fully deterministic; every numeric verdict in a payload
 carries the tolerance it was judged against.  Every file written is one line
 of RFC 8259 JSON: a finite float in its shortest form that reads back
-bit-equal, a non-finite one as ``null``.  Inputs are read with the standard
-library's ``json``.
+bit-equal, a non-finite one as ``null``.  Each input file is read once; its
+digest and its decoding use the same bytes.  The table of a JSON input
+(``distances``, ``points``, ``representatives``) is decoded row by row with
+orjson into a float64 array, and the rest of the document with the standard
+library's ``json``.  The standard library decodes the whole document instead
+whenever the row reader declines: a ``NaN`` or ``Infinity`` token or any other
+non-finite value, rows that are not flat arrays of numbers of one length, a
+row orjson rejects, or a key it cannot locate without doubt.  Group files are
+decoded by the standard library alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import re
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -59,42 +68,126 @@ class _Parser(argparse.ArgumentParser):
 # ingestion
 
 
-def _load_json(path: Path) -> dict:
+def _read(path: Path, inputs: dict, role: str) -> bytes:
+    """The bytes of an input file, read once: its digest under ``inputs[role]``
+    and its decoding both come from them."""
+    data = path.read_bytes()
+    inputs[role] = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    return data
+
+
+def _utf8_text(data: bytes) -> str:
+    # what reading the file opened as UTF-8 text gives, universal newlines included
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
+def _load_json(path: Path, data: bytes):
+    """``data``, the bytes of the JSON file at ``path``, decoded by the standard
+    library's ``json``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except UnicodeDecodeError as exc:
+        return json.loads(_utf8_text(data))
+    except (UnicodeDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
-def _load_table(path: Path, key: str) -> np.ndarray:
-    """A 2-d array from JSON ({key: [[...]]}) or CSV (one row per line)."""
-    if path.suffix.lower() == ".json":
-        return _json_table(path, _load_json(path), key)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # numpy only warns on a file with no data
-            return np.loadtxt(path, delimiter=",", ndmin=2)
-    except (ValueError, UserWarning) as exc:
-        raise InputError(f"{path}: {exc}")
+_WS = rb"[ \t\n\r]*"
+# one row of a table, a flat array of number characters, and the comma before
+# the next row or the bracket that closes the table
+_ROW = _WS + rb"(\[[-+.0-9eE \t\n\r,]*\])" + _WS + rb"([,\]])"
 
 
-def _json_table(path: Path, obj, key: str) -> np.ndarray:
-    """The {key: [[...]]} table of ``obj``, the decoded JSON file at ``path``."""
+def _json_rows(data: bytes, key: str):
+    """``(rest, table)``: the {key: [[...]]} table of the JSON document ``data``
+    decoded one row at a time by orjson into a float64 array, bit-equal to
+    ``np.asarray(json.loads(text)[key], dtype=float)``, and the rest of the
+    document, the table read as ``[]``, decoded by the standard library.  None
+    where that library must decide: the key is not the one top-level key of its
+    name, a row is not a flat array of numbers as long as the first, a value is
+    not finite (NaN and Infinity tokens included), or orjson rejects a row."""
+    found = re.search(rb'"%s"%s:%s\[' % (key.encode(), _WS, _WS), data)
+    if found is None:
+        return None
+    start = found.start()
+    while start and data[start - 1] in b" \t\n\r":
+        start -= 1
+    if not start or data[start - 1] not in b"{,":
+        return None  # a key opens after "{" or ","; else the match is no key of that name
+    spans, pos, match_row = [], found.end(), re.compile(_ROW).match
+    while True:
+        m = match_row(data, pos)
+        if m is None:
+            return None
+        spans.append(m.span(1))
+        pos = m.end()
+        if m[2] == b"]":
+            break
+    names = []
+
+    def pairs(items):
+        names.extend(name for name, _ in items)
+        return dict(items)
+
     try:
-        data = obj[key]
-    except (KeyError, TypeError):
-        raise InputError(f"{path}: expected a JSON object with a {key!r} field")
+        rest = json.loads(_utf8_text(data[:found.end()] + b"]" + data[pos:]),
+                          object_pairs_hook=pairs)
+    except (ValueError, RecursionError):
+        return None
+    # the match is a key of that name whose value is the table; being the only
+    # key of that name in the document, it is the top-level object's
+    if not isinstance(rest, dict) or key not in rest or names.count(key) != 1:
+        return None
+    view = memoryview(data)
     try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}")
-    if arr.ndim != 2:
-        raise InputError(f"{path}: expected a 2-d array, got shape {arr.shape}")
+        first = orjson.loads(view[slice(*spans[0])])
+        table = np.empty((len(spans), len(first)))
+        table[0] = first
+        for i, (a, b) in enumerate(spans[1:], 1):
+            values = orjson.loads(view[a:b])
+            if len(values) != len(first):
+                return None
+            table[i] = values
+    except orjson.JSONDecodeError:
+        return None
+    return (rest, table) if np.isfinite(table).all() else None
+
+
+def _load_table(path: Path, data: bytes, *keys: str) -> tuple[np.ndarray, str]:
+    """The 2-d array of a JSON ({key: [[...]]}) or CSV (one row per line) input
+    whose bytes are ``data``, and its key: the first of ``keys`` that the JSON
+    object holds, else (and for CSV) ``keys[0]``."""
+    if path.suffix.lower() != ".json":
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # numpy only warns on a file with no data
+                return np.loadtxt(path, delimiter=",", ndmin=2), keys[0]
+        except (ValueError, UserWarning) as exc:
+            raise InputError(f"{path}: {exc}")
+    for key in keys:
+        found = _json_rows(data, key)
+        if found is not None and _table_key(found[0], keys) == key:
+            obj, arr = found
+            break
+    else:
+        obj = _load_json(path, data)
+        key = _table_key(obj, keys)
+        try:
+            table = obj[key]
+        except (KeyError, TypeError):
+            raise InputError(f"{path}: expected a JSON object with a {key!r} field")
+        try:
+            arr = np.asarray(table, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"{path}: {exc}")
+        if arr.ndim != 2:
+            raise InputError(f"{path}: expected a 2-d array, got shape {arr.shape}")
     declared = obj.get("n")
     if declared is not None and _json_number(path, "n", declared, int) != arr.shape[0]:
         raise InputError(f"{path}: declared n = {declared} but found {arr.shape[0]} rows")
-    return arr
+    return arr, key
+
+
+def _table_key(obj, keys: tuple[str, ...]) -> str:
+    return next((key for key in keys if isinstance(obj, dict) and key in obj), keys[0])
 
 
 def _json_number(path: Path, field: str, value, kind):
@@ -113,21 +206,10 @@ def _json_number(path: Path, field: str, value, kind):
         raise InputError(f"{path}: field {field!r} must be {what}, got {value!r}")
 
 
-def _load_metric_matrix(path: Path) -> tuple[np.ndarray, bool]:
-    """The distance matrix of a metric file, or the points (one per row) of a
-    point-cloud JSON ({"points": [[...]]}), and whether it is a cloud."""
-    if path.suffix.lower() == ".json":
-        obj = _load_json(path)
-        if isinstance(obj, dict) and "points" in obj and "distances" not in obj:
-            return _json_table(path, obj, "points"), True
-        return _json_table(path, obj, "distances"), False
-    return _load_table(path, "distances"), False
-
-
-def _load_action(path: Path) -> OrthogonalAction:
+def _load_action(path: Path, data: bytes) -> OrthogonalAction:
     if path.suffix.lower() != ".json":
         raise InputError(f"{path}: group files must be JSON")
-    obj = _load_json(path)
+    obj = _load_json(path, data)
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object")
     tol = _json_number(path, "tolerance", obj.get("tolerance", IDENTIFICATION_TOL), float)
@@ -136,7 +218,7 @@ def _load_action(path: Path) -> OrthogonalAction:
         raise InputError(f"{path}: expected a 'generators' or 'matrices' field")
     try:
         mats = [np.asarray(m, dtype=float) for m in mats]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}")
     if not mats:
         raise InputError(f"{path}: the group needs at least one matrix")
@@ -150,13 +232,6 @@ def _load_action(path: Path) -> OrthogonalAction:
         if mats[0].shape != (dim, dim):
             raise InputError(f"{path}: declared dim = {dim} but matrices have shape {mats[0].shape}")
     return close_group(mats, tol=tol)
-
-
-def _digest(path: Path) -> dict:
-    return {
-        "path": str(path),
-        "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +308,15 @@ class _Report:
 
 
 def _metric_input(args, report: _Report) -> tuple[np.ndarray, bool]:
+    """The distance matrix of a metric file, or the points (one per row) of a
+    point-cloud JSON ({"points": [[...]]}), and whether it is a cloud."""
     path = Path(args.metric)
-    report.inputs["metric"] = _digest(path)
-    return _load_metric_matrix(path)
+    matrix, key = _load_table(path, _read(path, report.inputs, "metric"), "distances", "points")
+    return matrix, key == "points"
 
 
 def _validated(args, report: _Report, loaded, label: str):
-    """The metric of a ``_load_metric_matrix`` result; an error on the way is
+    """The metric of a ``_metric_input`` result; an error on the way is
     the report's violation.  A point cloud becomes its Euclidean metric, a
     metric by construction, without a triangle scan.  A distance matrix passes
     ``validate_metric``: O(n^2 r) time when it is Euclidean of rank r <=
@@ -361,15 +438,16 @@ def _cmd_schoenberg(args, report: _Report) -> bool:
 
 def _cmd_quotient_embed(args, report: _Report) -> bool:
     group_path, reps_path = Path(args.group), Path(args.reps)
-    report.inputs.update(group=_digest(group_path), representatives=_digest(reps_path))
+    group = _read(group_path, report.inputs, "group")
+    reps = _read(reps_path, report.inputs, "representatives")
     if not 0.0 <= args.alpha < 1.0:
         raise DomainError(f"--alpha must lie in [0, 1) for the quotient pipeline "
                           f"(the alpha = 1 endpoint is excluded), got {args.alpha}")
     report.tolerances["tol"] = args.tol
     report.payload["alpha"] = args.alpha
 
-    action = _load_action(group_path)
-    config = lift_orbits(_load_table(reps_path, "representatives"), action, tol=args.tol)
+    action = _load_action(group_path, group)
+    config = lift_orbits(_load_table(reps_path, reps, "representatives")[0], action, tol=args.tol)
     result = qng_embed(config, args.alpha, tol=args.tol)
 
     report.payload.update(

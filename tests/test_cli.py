@@ -1,12 +1,16 @@
+import builtins
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -131,16 +135,35 @@ class TestValidate:
 
     @pytest.mark.parametrize("argv", [["validate"], ["negtype"], ["embed", "--alpha", "0.5"]])
     def test_matrix_file_decoded_once(self, argv, collinear_json, monkeypatch):
-        loads = []
+        # one open of the file, whose bytes feed the digest and one decode by
+        # the row reader; the whole-document decode never runs
+        opens, decodes = [], []
 
-        def counting_load(fh, **kwargs):
-            loads.append(fh.name)
-            return json_load(fh, **kwargs)
+        def spy(name, log, wrapped):
+            def call(*args, **kwargs):
+                log.append(args[:2] if name == "_json_rows" else (name, str(args[0])))
+                return wrapped(*args, **kwargs)
+            return call
 
-        json_load = json.load
-        monkeypatch.setattr(json, "load", counting_load)
+        for module, name in [(io, "open"), (builtins, "open")]:
+            monkeypatch.setattr(module, name, spy(name, opens, getattr(module, name)))
+        for name in ["_json_rows", "_load_json"]:
+            monkeypatch.setattr(cli, name, spy(name, decodes, getattr(cli, name)))
         assert main([argv[0], collinear_json, *argv[1:]]) == 0
-        assert loads == [collinear_json]
+        assert [o for o in opens if o[1] == collinear_json] == [("open", collinear_json)]
+        assert decodes == [(Path(collinear_json).read_bytes(), "distances")]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_distance_tokens_fail_with_report(self, token, tmp_path):
+        # the standard library reads the tokens that orjson rejects, so the input
+        # gets its verdict rather than a parse error
+        path = tmp_path / "bad.json"
+        path.write_text('{"distances": [[0, %s], [%s, 0]]}' % (token, token))
+        report_path = tmp_path / "report.json"
+        assert main(["validate", str(path), "--json", str(report_path)]) == 2
+        violation = json.loads(report_path.read_text())["payload"]["violation"]
+        assert (violation["error"], violation["message"]) == ("MetricValidationError",
+                                                              "distances must be finite")
 
     @pytest.mark.parametrize("text", ["", "# a comment and a blank line\n\n"])
     def test_csv_without_data_is_parse_error(self, text, tmp_path, capsys, recwarn):
@@ -777,14 +800,11 @@ def test_point_cloud_commands_start_without_scipy(tmp_path, claw_matrix):
     assert result == {"codes": [0] * 9, "before": [], "after": True}
 
 
-@pytest.mark.parametrize("role", ["metric", "group", "representatives"])
-def test_json_that_is_not_utf8_is_parse_error(role, c2_group_json, tmp_path, capsys):
-    # a byte 0xff, never valid UTF-8, inside an otherwise valid JSON input
-    bodies = {"metric": '{"distances": [[0, 1], [1, 0]], "note": "@"}',
-              "group": '{"dim": 1, "generators": [[[-1.0]]], "note": "@"}',
-              "representatives": '{"representatives": [[1.0]], "note": "@"}'}
+def assert_parse_error(role, body, c2_group_json, tmp_path, capsys):
+    """Run the command that reads the bytes ``body`` as its ``role`` input: exit
+    3, one ``error:`` line naming the file, no report."""
     bad = tmp_path / f"{role}.json"
-    bad.write_bytes(bodies[role].encode().replace(b"@", b"\xff"))
+    bad.write_bytes(body)
     reps = write_json(tmp_path / "reps.json", {"representatives": [[1.0]]})
     argv = {"metric": ["validate", str(bad)],
             "group": ["quotient-embed", str(bad), reps],
@@ -795,6 +815,30 @@ def test_json_that_is_not_utf8_is_parse_error(role, c2_group_json, tmp_path, cap
     assert out == "" and not report.exists()
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert str(bad) in err
+
+
+@pytest.mark.parametrize("role", ["metric", "group", "representatives"])
+def test_json_that_is_not_utf8_is_parse_error(role, c2_group_json, tmp_path, capsys):
+    # a byte 0xff, never valid UTF-8, inside an otherwise valid JSON input
+    bodies = {"metric": '{"distances": [[0, 1], [1, 0]], "note": "@"}',
+              "group": '{"dim": 1, "generators": [[[-1.0]]], "note": "@"}',
+              "representatives": '{"representatives": [[1.0]], "note": "@"}'}
+    assert_parse_error(role, bodies[role].encode().replace(b"@", b"\xff"),
+                       c2_group_json, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", ["[" * 5000 + "0" + "]" * 5000, "1" + "0" * 400],
+                         ids=["nested-past-recursion-limit", "int-past-float-range"])
+@pytest.mark.parametrize("role", ["metric", "group", "representatives"])
+def test_json_value_past_decoding_limits_is_parse_error(role, value, c2_group_json, tmp_path,
+                                                        capsys):
+    # the standard library's decoder raises RecursionError on the one, and
+    # numpy's conversion of the int to a float OverflowError on the other
+    bodies = {"metric": '{"distances": [[0, @], [@, 0]]}',
+              "group": '{"dim": 1, "generators": [[[@]]]}',
+              "representatives": '{"representatives": [[@]]}'}
+    assert_parse_error(role, bodies[role].replace("@", value).encode(),
+                       c2_group_json, tmp_path, capsys)
 
 
 def test_schoenberg_far_from_one_is_finite(tmp_path):
@@ -851,3 +895,137 @@ class TestWriteJson:
         for row in body["report"]:
             assert (type(row["i"]), type(row["j"]), type(row["target"])) == (int, int, float)
         assert body["empty"] == []
+
+
+# JSON number tokens as writers spell them: every class of double in its
+# shortest form and with 17 or 25 significant digits, integers beyond 2**64
+number_tokens = (
+    (finite_doubles | st.floats(min_value=1e-308, max_value=1e308)
+     | st.floats(min_value=-2.3e-308, max_value=2.3e-308))
+    .flatmap(lambda x: st.sampled_from([repr(x), f"{x:.17e}", f"{x:.25g}", f"{x:.16E}"]))
+    | (st.integers(-2**70, 2**70) | st.integers(2**64, 2**200)).map(str)
+)
+# tokens the row reader must leave to the standard library: non-finite values,
+# values that are not numbers, nested rows, and spellings that orjson rejects
+odd_tokens = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400,
+                              "true", "null", '"1.5"', "[1]", "[]", "+1", ".5", "01", "1.", "1e"])
+whitespace = st.sampled_from(["", " ", "\n", "\t", "\r\n", "  ", "\n    "])
+
+
+def json_sequence(draw, items, brackets):
+    """``items`` joined into a JSON array or object, with drawn whitespace."""
+    parts = [brackets[0]]
+    for i, item in enumerate(items):
+        parts.append(("," if i else "") + draw(whitespace) + item + draw(whitespace))
+    return "".join(parts) + brackets[1]
+
+
+@st.composite
+def json_tables(draw):
+    """The text of a table and its row count: mostly rectangular, at times ragged,
+    with empty rows when it has no columns."""
+    cells = number_tokens | odd_tokens if draw(st.booleans()) else number_tokens
+    cols, rows = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    lengths = st.sampled_from([cols] * 4 + [cols + 1, max(cols - 1, 0)])
+    return json_sequence(draw, [
+        json_sequence(draw, [draw(cells) for _ in range(draw(lengths))], "[]")
+        for _ in range(rows)], "[]"), rows
+
+
+@st.composite
+def json_documents(draw):
+    """The keys of an input role and the text of a document that holds a table
+    under one of them, with extra keys in a drawn order: a declared n, the key's
+    name inside a string value and inside a nested object, a duplicate key, the
+    role's other key, and keys that only look like it."""
+    keys = draw(st.sampled_from([("distances", "points"), ("representatives",)]))
+    key = draw(st.sampled_from(keys))
+    table, rows = draw(json_tables())
+    entries = [(json.dumps(key), table)]
+    for extra in draw(st.lists(st.sampled_from(["n", "wrong n", "n string", "note", "nested",
+                                                "duplicate", "other", "escaped", "unicode"]),
+                               unique=True, max_size=3)):
+        entries.append({
+            "n": lambda: ('"n"', str(rows)),
+            "wrong n": lambda: ('"n"', str(rows + 1)),
+            "n string": lambda: ('"n"', '"x"'),
+            "note": lambda: ('"note"', json.dumps(f'{{"{key}": [[1]]}}')),
+            "nested": lambda: ('"meta"', '{"%s": [[5]]}' % key),
+            "duplicate": lambda: (json.dumps(key), draw(json_tables())[0]),
+            "other": lambda: ('"points"' if key == "distances" else '"distances"',
+                              draw(json_tables())[0]),
+            "escaped": lambda: (json.dumps('a"' + key), draw(json_tables())[0]),
+            "unicode": lambda: ('"%s\\u0073"' % key[:-1], draw(json_tables())[0]),
+        }[extra]())
+    entries = draw(st.permutations(entries))
+    text = json_sequence(draw, [name + draw(whitespace) + ":" + draw(whitespace) + value
+                                for name, value in entries], "{}")
+    return keys, f"[{text}]" if draw(st.integers(0, 9)) == 0 else text
+
+
+@st.composite
+def dumped_documents(draw):
+    """The keys of an input role and a document written by ``json.dumps``,
+    indented or not, its keys sorted or not."""
+    keys = draw(st.sampled_from([("distances", "points"), ("representatives",)]))
+    cols = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(finite_doubles | st.integers(-2**70, 2**70),
+                                  min_size=cols, max_size=cols), max_size=5))
+    body = {draw(st.sampled_from(keys)): rows, "n": len(rows), "note": keys[0]}
+    return keys, json.dumps(body, indent=draw(st.sampled_from([None, 0, 1, 2, "\t"])),
+                            sort_keys=draw(st.booleans()))
+
+
+def table_outcome(data, keys):
+    """What ``cli._load_table`` makes of the JSON ``data``: the array's shape,
+    bytes and key, or the error's type and message."""
+    try:
+        arr, key = cli._load_table(Path("input.json"), data, *keys)
+    except (cli.InputError, json.JSONDecodeError) as exc:
+        return type(exc), str(exc)
+    return arr.shape, arr.tobytes(), key
+
+
+class TestJsonRows:
+    """``cli._json_rows``, the row reader of JSON tables, against the standard
+    library's decoding of the whole document."""
+
+    @given(doc=json_documents() | dumped_documents())
+    @example(doc=(("distances", "points"), '{"a\\"distances": [[1]], "distances": []}'))
+    @example(doc=(("distances", "points"), '{"x": {"distances": [[1]]}, "distances": [[2]]}'))
+    @example(doc=(("distances", "points"), '{"distances": [[0]], "distances": []}'))
+    @example(doc=(("distances", "points"), '{"points": [[1, 2]], "meta": {"distances": 1}}'))
+    @example(doc=(("distances", "points"), '{"points": [[1]], "distances": [[NaN]]}'))
+    @example(doc=(("representatives",), '{"representatives": [[5e-324, -0.0, 18446744073709551617]]}'))
+    @settings(max_examples=500, deadline=None)
+    def test_reader_matches_standard_library(self, doc):
+        keys, text = doc
+        data = text.encode()
+        with mock.patch.object(cli, "_json_rows", return_value=None):
+            expected = table_outcome(data, keys)
+        assert table_outcome(data, keys) == expected
+        for key in keys:
+            found = cli._json_rows(data, key)
+            event(f"row reader {'accepts' if found else 'declines'}")
+            if found is not None:
+                obj = json.loads(text)
+                table = np.asarray(obj[key], dtype=float)
+                assert (found[1].shape, found[1].tobytes()) == (table.shape, table.tobytes())
+                assert json.dumps(found[0]) == json.dumps({**obj, key: []})
+
+    def test_peak_memory_is_the_file_and_two_matrices(self, tmp_path):
+        # the file's bytes, the float64 array and its finiteness mask; decoding
+        # the whole document holds about 6.5 n^2 doubles of text and Python objects
+        n = 450
+        d = pairwise_distances(np.random.default_rng(450).standard_normal((n, 3)))
+        path = tmp_path / "euclid450.json"
+        path.write_text(json.dumps({"n": n, "distances": d.tolist()}))
+        tracemalloc.start()
+        try:
+            matrix, key = cli._load_table(path, path.read_bytes(), "distances", "points")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key == "distances" and matrix.tobytes() == d.tobytes()
+        allowed_doubles = 2 * n * n
+        assert peak < path.stat().st_size + 8 * allowed_doubles
