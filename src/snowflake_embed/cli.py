@@ -13,12 +13,14 @@ library's ``json``.  The standard library decodes the whole document instead
 whenever the row reader declines: a ``NaN`` or ``Infinity`` token or any other
 non-finite value, rows that are not flat arrays of numbers of one length, a
 row orjson rejects, or a key it cannot locate without doubt.  Group files are
-decoded by the standard library alone.
+decoded by the standard library alone, and a CSV input by numpy's ``loadtxt``
+from its bytes read as UTF-8 text.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -159,8 +161,8 @@ def _load_table(path: Path, data: bytes, *keys: str) -> tuple[np.ndarray, str]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", UserWarning)  # numpy only warns on a file with no data
-                return np.loadtxt(path, delimiter=",", ndmin=2), keys[0]
-        except (ValueError, UserWarning) as exc:
+                return np.loadtxt(io.StringIO(_utf8_text(data)), delimiter=",", ndmin=2), keys[0]
+        except (ValueError, UserWarning) as exc:  # UnicodeDecodeError included
             raise InputError(f"{path}: {exc}")
     for key in keys:
         found = _json_rows(data, key)
@@ -487,7 +489,10 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built on the first call and reused: each
+    ``parse_args`` starts from a fresh namespace."""
     parser = _Parser(prog="snowflake-embed",
                      description="snowflake metrics: certificates and embeddings")
     parser.add_argument("--version", action="version", version=__version__)

@@ -6,6 +6,9 @@ scaled by square roots of eigenvalues.  For a snowflaked metric d**alpha
 with alpha in (0, 1) of a negative-type input the embedding is certified
 to have full rank n-1: the embedded points are always in general position,
 and a rank deficit is reported as an error rather than silently accepted.
+There B restricted to the sum-zero subspace is positive definite, so its
+Cholesky factor, a cheaper square root than the eigenpairs, gives the
+coordinates whenever the eigenvalues show it strictly positive.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotEmbeddable, TheoremViolation
 from .metric import FiniteMetricSpace, exponent_value, verified_distances
-from .negative_type import DEFAULT_TOL, snowflake_decision, spectral_decision
+from .negative_type import (DEFAULT_TOL, snowflake_decision, spectral_decision, strict_factor,
+                            sumzero_columns)
 
 #: Largest admissible relative distance-reconstruction error.
 RESIDUAL_LIMIT = 1e-8
@@ -69,21 +73,26 @@ def _coordinates(X: FiniteMetricSpace, decision) -> EmbeddingResult:
     # C-contiguous copies, which the JSON writer serialises without tolist()
     mu, U, keep = mu[::-1].copy(), U[:, ::-1], keep[::-1]
     coords = np.multiply(U[:, keep], np.sqrt(mu[keep]), order="C")
-    coords.flags.writeable = False
-    mu.flags.writeable = False
-    result = EmbeddingResult(
-        coordinates=coords,
-        eigenvalues=mu,
-        rank=int(keep.sum()),
-        residual=embedding_residual(coords, X),
-    )
+    result = _result(X, coords, mu, int(keep.sum()))
     if not result.residual <= RESIDUAL_LIMIT:
         # happens only for extreme dynamic range: pair distances so far
         # below the configuration scale that double precision cannot
         # certify them to the relative limit
-        raise NotEmbeddable(report.min_eigenvalue, RESIDUAL_LIMIT, reason=(
-            f"reconstruction residual {result.residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"))
+        raise _residual_failure(report.min_eigenvalue, result.residual)
     return result
+
+
+def _residual_failure(eigenvalue: float, residual: float) -> NotEmbeddable:
+    return NotEmbeddable(eigenvalue, RESIDUAL_LIMIT, reason=(
+        f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.0e}"))
+
+
+def _result(X: FiniteMetricSpace, coords: np.ndarray, eigenvalues: np.ndarray,
+            rank: int) -> EmbeddingResult:
+    """The read-only result of coordinates of X, with their residual."""
+    coords.flags.writeable = False
+    eigenvalues.flags.writeable = False
+    return EmbeddingResult(coords, eigenvalues, rank, embedding_residual(coords, X))
 
 
 def snowflake_embed(
@@ -94,17 +103,41 @@ def snowflake_embed(
     """Embed the snowflake X**alpha and certify that its rank is exactly n-1.
 
     Requires alpha in (0, 1) and X itself of negative type (the hypothesis
-    is verified; a failing X raises NotEmbeddable with the violating weight
-    vector).  Under those hypotheses the embedded points span dimension
-    n-1 with the smallest kept eigenvalue strictly positive - its value,
-    ``eigenvalues[rank - 1]``, is the reported margin.  A smaller rank is a
-    numerical breakdown and raises TheoremViolation.
+    is verified unless X carries its ``points``; a failing X raises
+    NotEmbeddable with the violating weight vector).  Under those hypotheses
+    the embedded points span dimension n-1 with the smallest eigenvalue
+    strictly positive - its value, ``eigenvalues[rank - 1]``, is the
+    reported margin.
+
+    When X**alpha has its ``strict_factor`` (eigenvalues above the spectral
+    threshold, and a Cholesky factor L of the restricted form), the
+    coordinates are H[:, 1:] L, in that factor's frame rather than on
+    principal axes, and ``eigenvalues`` are the values by ``eigvalsh``.  When
+    their residual exceeds RESIDUAL_LIMIT, the eigenpairs' coordinates are
+    tried, and kept when they are of rank n-1 and within the limit; else the
+    factor's residual is the failure.  Without a factor, the eigenpairs
+    decide as in ``embed``, and a rank below n-1 is a numerical breakdown that
+    raises TheoremViolation.
     """
     check_point_count(X.n)
     alpha = exponent_value(a)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"snowflake embedding needs alpha in (0, 1), got {alpha!r}")
-    result = _coordinates(*snowflake_decision(X, alpha, tol, NotEmbeddable))
+    Y = snowflake_decision(X, alpha, tol, NotEmbeddable)
+    lam, L, w, c = strict_factor(Y, tol)
+    residual = None
+    if L is not None:
+        coords = sumzero_columns(L, w, c)
+        del L  # before the residual: the coordinates are the one n x n array held
+        result = _result(Y, coords, lam[::-1].copy(), X.n - 1)
+        if result.residual <= RESIDUAL_LIMIT:
+            return result
+        residual = result.residual
+        del result, coords
+    decision = spectral_decision(Y, tol)
+    if residual is not None and not decision[0].is_strict:
+        raise _residual_failure(lam[0], residual)
+    result = _coordinates(Y, decision)
     # rank n-1 is the strictness verdict of the spectral decision of X**alpha
     if result.rank < X.n - 1:
         raise TheoremViolation(result.rank, X.n - 1, result.eigenvalues)

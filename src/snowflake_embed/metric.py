@@ -32,10 +32,17 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """An n-point metric space stored as a symmetric distance matrix."""
+    """An n-point metric space stored as a symmetric distance matrix.
+
+    ``points``, when present, are read-only coordinates whose Euclidean
+    distances are ``d``: the space is Euclidean by construction.  Only
+    ``euclidean_metric`` sets them, and only ``snowflake`` at alpha = 1 keeps
+    them.
+    """
 
     n: int
     d: np.ndarray
+    points: np.ndarray | None = None
 
 
 def exponent_value(a: float) -> float:
@@ -46,11 +53,14 @@ def exponent_value(a: float) -> float:
     return alpha
 
 
-def _frozen_metric(d: np.ndarray) -> FiniteMetricSpace:
+def _frozen_metric(d: np.ndarray, points: np.ndarray | None = None) -> FiniteMetricSpace:
     # internal constructor for matrices already known to be metrics
     d = np.asarray(d, dtype=float).copy()
     d.flags.writeable = False
-    return FiniteMetricSpace(n=d.shape[0], d=d)
+    if points is not None:
+        points = np.array(points, dtype=float)
+        points.flags.writeable = False
+    return FiniteMetricSpace(n=d.shape[0], d=d, points=points)
 
 
 def validate_metric(matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
@@ -207,10 +217,11 @@ def snowflake(X: FiniteMetricSpace, a: float) -> FiniteMetricSpace:
     For alpha in (0, 1] the result is again a metric because t -> t**alpha
     is subadditive; alpha = 0 yields the uniform metric with all
     off-diagonal distances 1 (the pointwise limit for distinct points).
+    Only alpha = 1 keeps the ``points`` of X, whose distances d**alpha are then d.
     """
     alpha = exponent_value(a)
     if alpha == 1.0:
-        return _frozen_metric(X.d)
+        return _frozen_metric(X.d, X.points)
     if alpha == 0.0:
         out = np.ones_like(X.d) - np.eye(X.n)
         return _frozen_metric(out)
@@ -289,9 +300,10 @@ def verified_distances(x: np.ndarray, images: np.ndarray, pairs: tuple, target: 
 
 def euclidean_metric(P) -> FiniteMetricSpace:
     """Distance matrix of the points, the rows of an (n, m) array, which must be finite
-    and pairwise distinct.
+    and pairwise distinct; a read-only copy of the points is its ``points``.
 
-    The result is a metric by construction, so it needs no triangle scan.
+    The result is a Euclidean metric by construction, so it needs no triangle scan,
+    and the theorem's hypothesis on it needs no spectral test.
     """
     coords = np.atleast_2d(np.asarray(P, dtype=float))
     if coords.ndim != 2:
@@ -304,4 +316,4 @@ def euclidean_metric(P) -> FiniteMetricSpace:
     dup = np.triu(d == 0.0, k=1)
     if dup.any():
         raise DuplicatePoints(np.argwhere(dup))
-    return _frozen_metric(d)
+    return _frozen_metric(d, coords)

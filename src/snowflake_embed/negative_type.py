@@ -6,6 +6,8 @@ criterion this is equivalent to isometric embeddability into Hilbert space.
 The decision here is spectral: the condition holds iff -1/2 P D P
 (P the centering projector) is positive semidefinite on the sum-zero
 subspace, so we diagonalize that restriction instead of searching over L.
+Eigenvalues come first: eigenvectors are computed only where a verdict needs a
+witness, and a strict verdict is proved by a Cholesky factor instead.
 """
 
 from __future__ import annotations
@@ -46,30 +48,72 @@ class NegativeTypeReport:
         return self.is_negative_type
 
 
-def centered_spectrum(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectrum of the symmetric form B on the sum-zero subspace.
+def restricted_form(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The symmetric form B on the sum-zero subspace, in the basis of columns
+    1..n-1 of the Householder reflection H = I - c w w^T sending ones/sqrt(n)
+    to -e_0: ``(M, w, c)`` with M = (H B H)[1:, 1:] of size n-1.
 
-    Returns ascending eigenvalues (length n-1) and the corresponding
-    sum-zero eigenvectors as orthonormal columns of an (n, n-1) matrix.
-    The basis is columns 1..n-1 of the Householder reflection
-    H = I - c w w^T sending ones/sqrt(n) to -e_0; H B H is applied as a
-    rank-2 update of B and H to the eigenvectors as a rank-1 update, so
-    no n x n basis is formed.
+    H B H = B - w y^T - y w^T is a rank-2 update of B, and w[1:] is constant,
+    so M is B[1:, 1:] less one row vector and one column vector, formed in
+    one (n-1) x (n-1) buffer: no n x n basis or outer product is formed.
     """
     n = B.shape[0]
-    if n < 2:
-        return np.zeros(0), np.zeros((n, 0))
     w = np.full(n, 1.0 / np.sqrt(n))
     w[0] += 1.0
     c = 2.0 / (w @ w)
     Bw = B @ w
-    # H B H = B - w y^T - y w^T
     y = c * Bw - 0.5 * c * c * (w @ Bw) * w
-    w1, y1 = w[1:], y[1:]
-    M = B[1:, 1:] - (np.outer(w1, y1) + np.outer(y1, w1))
+    u = w[1:] * y[1:]  # row i of the outer product w[1:] y[1:]^T, the same for every i
+    M = np.add(u[None, :], u[:, None])
+    return np.subtract(B[1:, 1:], M, out=M), w, c
+
+
+def sumzero_columns(W: np.ndarray, w: np.ndarray, c: float) -> np.ndarray:
+    """H[:, 1:] W for the reflection H = I - c w w^T of ``restricted_form``: the
+    (n, k) matrix with sum-zero columns [0; W] - c w (w[1:]^T W), a rank-1
+    update of the (n-1, k) matrix W."""
+    return np.vstack([np.zeros((1, W.shape[1])), W]) - c * np.outer(w, w[1:] @ W)
+
+
+def centered_spectrum(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of the symmetric form B on the sum-zero subspace.
+
+    Returns ascending eigenvalues (length n-1) and the corresponding
+    sum-zero eigenvectors as orthonormal columns of an (n, n-1) matrix:
+    ``eigh`` of the ``restricted_form`` M, its eigenvectors taken back by
+    ``sumzero_columns``.
+    """
+    n = B.shape[0]
+    if n < 2:
+        return np.zeros(0), np.zeros((n, 0))
+    M, w, c = restricted_form(B)
     evals, W = np.linalg.eigh(M)
-    vecs = np.vstack([np.zeros((1, n - 1)), W]) - c * np.outer(w, w1 @ W)
-    return evals, vecs
+    return evals, sumzero_columns(W, w, c)
+
+
+def restricted_values(X: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``(evals, M, w, c)``: the ascending eigenvalues of -1/2 P D P on the
+    sum-zero subspace, by ``eigvalsh`` (no eigenvectors), and its
+    ``restricted_form`` (M, w, c).  The n x n Gram matrix is freed before the
+    eigenvalues are computed."""
+    M, w, c = restricted_form(gram_from_distances(X.d ** 2))
+    return np.linalg.eigvalsh(M), M, w, c
+
+
+def strict_factor(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
+    """``(evals, L, w, c)``: the ``restricted_values`` of X and the Cholesky
+    factor L of the restricted form, which exists exactly when that form is
+    numerically positive definite.  L is None unless every eigenvalue lies
+    above the ``spectral_threshold`` and the factor exists: the strict verdict
+    of the values, proved by a factor.  The form is freed on return."""
+    evals, M, w, c = restricted_values(X)
+    L = None
+    if spectral_report(evals, tol).is_strict:
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            pass
+    return evals, L, w, c
 
 
 def quadratic_form(D, lam) -> float:
@@ -92,22 +136,30 @@ def spectral_threshold(evals, tol: float = DEFAULT_TOL) -> float:
     return tol * float(np.abs(evals).max(initial=0.0))
 
 
-def spectral_decision(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
-    """The one spectral decision on X, from -1/2 P D P on the sum-zero subspace.
-
-    X is of negative type when no eigenvalue lies below minus
-    ``spectral_threshold``, strictly so when all lie above it, and the
-    eigenpairs above it are kept.  Unless strict, the witness is the
-    eigenvector of the smallest eigenvalue.  Returns the report, the ascending
-    eigenvalues, the (n, n-1) sum-zero eigenvectors and the kept mask.
-    """
-    evals, vecs = centered_spectrum(gram_from_distances(X.d ** 2))
+def spectral_report(evals: np.ndarray, tol: float, vecs: np.ndarray | None = None
+                    ) -> NegativeTypeReport:
+    """The one spectral rule on the ascending eigenvalues ``evals`` of a
+    restricted form: negative type when none lies below minus
+    ``spectral_threshold``, strictly so when all lie above it.  Unless strict,
+    the witness is the eigenvector of the smallest eigenvalue, the first column
+    of ``vecs``, or None without them."""
     threshold = spectral_threshold(evals, tol)
     min_eig = float(evals.min(initial=np.inf))
     strict = min_eig > threshold
-    report = NegativeTypeReport(min_eig >= -threshold, strict, min_eig,
-                                None if strict else vecs[:, 0], threshold)
-    return report, evals, vecs, evals > threshold
+    witness = None if strict or vecs is None else vecs[:, 0]
+    return NegativeTypeReport(min_eig >= -threshold, strict, min_eig, witness, threshold)
+
+
+def spectral_decision(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
+    """The one spectral decision on X, from -1/2 P D P on the sum-zero subspace.
+
+    ``spectral_report`` of the eigenpairs, and the eigenpairs above its
+    threshold are kept.  Returns the report, the ascending eigenvalues, the
+    (n, n-1) sum-zero eigenvectors and the kept mask.
+    """
+    evals, vecs = centered_spectrum(gram_from_distances(X.d ** 2))
+    report = spectral_report(evals, tol, vecs)
+    return report, evals, vecs, evals > report.threshold
 
 
 def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> NegativeTypeReport:
@@ -115,20 +167,23 @@ def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> Negat
     return spectral_decision(X, tol)[0]
 
 
-def snowflake_decision(X: FiniteMetricSpace, alpha: float, tol: float, failure):
-    """The theorem's test: decide X (the hypothesis), then X**alpha.
+def snowflake_decision(X: FiniteMetricSpace, alpha: float, tol: float, failure
+                       ) -> FiniteMetricSpace:
+    """The theorem's hypothesis on X, then X**alpha.
 
-    When X is not of negative type, raises ``failure`` (NotStrict or
-    NotEmbeddable) with the eigenvalue, threshold and witness of X and the
-    reason HYPOTHESIS_FAILS.  Otherwise returns X**alpha and its
-    ``spectral_decision``.
+    X with ``points`` is Euclidean by construction, so the hypothesis holds.
+    Otherwise the eigenvalues of X decide it when they show negative type, and
+    ``check_negative_type`` when they do not: if X is not of negative type,
+    raises ``failure`` (NotStrict or NotEmbeddable) with the eigenvalue,
+    threshold and witness of X and the reason HYPOTHESIS_FAILS.  Returns
+    X**alpha.
     """
-    hypothesis = check_negative_type(X, tol)
-    if not hypothesis.is_negative_type:
-        raise failure(hypothesis.min_eigenvalue, hypothesis.threshold,
-                      witness=hypothesis.witness, reason=HYPOTHESIS_FAILS)
-    Y = snowflake(X, alpha)
-    return Y, spectral_decision(Y, tol)
+    if X.points is None and not spectral_report(restricted_values(X)[0], tol).is_negative_type:
+        hypothesis = check_negative_type(X, tol)
+        if not hypothesis.is_negative_type:
+            raise failure(hypothesis.min_eigenvalue, hypothesis.threshold,
+                          witness=hypothesis.witness, reason=HYPOTHESIS_FAILS)
+    return snowflake(X, alpha)
 
 
 def check_strict_negative_type(
@@ -142,12 +197,20 @@ def check_strict_negative_type(
     strictness is guaranteed; alpha = 1 is accepted as a contrast case but
     carries no guarantee (degenerate configurations then fail).  Raises
     NotStrict either when X itself is not of negative type (the hypothesis)
-    or when the strictness margin is not met.
+    or when the strictness margin is not met.  The snowflake is strict when its
+    ``strict_factor`` exists, as in ``snowflake_embed``, and the report then
+    comes from the eigenvalues, with no witness; otherwise the eigenpairs
+    decide, so that a failure carries the eigenvector of the smallest
+    eigenvalue.
     """
     alpha = exponent_value(a)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"strict negative type needs alpha in (0, 1], got {alpha!r}")
-    _, (report, *_) = snowflake_decision(X, alpha, tol, NotStrict)
+    Y = snowflake_decision(X, alpha, tol, NotStrict)
+    evals, L, _, _ = strict_factor(Y, tol)
+    if L is not None:
+        return spectral_report(evals, tol)
+    report = spectral_decision(Y, tol)[0]
     if not report.is_strict:
         raise NotStrict(report.min_eigenvalue, report.threshold, witness=report.witness,
                         reason="strictness margin not met")

@@ -173,6 +173,41 @@ class TestValidate:
         assert "input contained no data" in capsys.readouterr().err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("text", [
+        "0,1,2\n1,0,1\n2,1,0\n",
+        "# header\r\n0, 1e0 ,2.5\r\n1,0,-0.0\r\n\r\n2.5,1,0 # last row\r\n",
+        "0,0.1,5e-324\n0.1,0,1e308\n5e-324,1e308,0",
+    ], ids=["plain", "crlf-comments", "extremes"])
+    def test_csv_decoded_from_the_digested_bytes(self, text, tmp_path, monkeypatch):
+        path = tmp_path / "metric.csv"
+        path.write_bytes(text.encode())
+        expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        opens = []
+
+        def spy(wrapped):
+            def call(*args, **kwargs):
+                opens.append(str(args[0]))
+                return wrapped(*args, **kwargs)
+            return call
+
+        for module in (io, builtins):
+            monkeypatch.setattr(module, "open", spy(module.open))
+        inputs = {}
+        matrix, key = cli._load_table(path, cli._read(path, inputs, "metric"),
+                                      "distances", "points")
+        assert opens == [str(path)]
+        assert key == "distances" and matrix.tobytes() == expected.tobytes()
+        assert matrix.shape == expected.shape
+        # the bytes given are decoded, not the file read again
+        other = cli._load_table(path, b"0,9\n9,0\n", "distances", "points")[0]
+        assert np.array_equal(other, [[0.0, 9.0], [9.0, 0.0]])
+
+    def test_csv_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0,1\n1,0 # \xe9\n")
+        assert main(["validate", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_square_csv_reports(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("0,1,2\n1,0,1\n")
@@ -180,6 +215,39 @@ class TestValidate:
         assert main(["validate", str(path), "--json", str(report_path)]) == 2
         report = json.loads(report_path.read_text())
         assert report["payload"]["violation"]["error"] == "DimensionMismatch"
+
+
+class TestParser:
+    def test_built_once(self, collinear_json):
+        main(["validate", collinear_json])
+        parser = cli._build_parser()
+        main(["negtype", collinear_json])
+        assert cli._build_parser() is parser
+
+    def test_successive_commands_share_no_options(self, cloud_and_matrix_json, tmp_path):
+        _, cloud, _ = cloud_and_matrix_json
+        out = tmp_path / "coords.json"
+
+        def run(*argv):
+            report_path = tmp_path / "report.json"
+            assert main([*argv, "--json", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            return report["payload"], report["tolerances"]
+
+        payload, tolerances = run("embed", cloud, "--alpha", "0.5", "--tol", "1e-6",
+                                  "--out", str(out))
+        assert payload["alpha"] == 0.5 and tolerances["spectral_tol"] == 1e-6
+        out.unlink()
+        payload, tolerances = run("negtype", cloud)
+        assert (payload["alpha"], payload["strict"]) == (None, False)
+        assert tolerances["spectral_tol"] == 1e-9
+        payload, tolerances = run("negtype", cloud, "--alpha", "0.3", "--strict", "--tol", "1e-7")
+        assert (payload["alpha"], payload["strict"], tolerances["spectral_tol"]) == (0.3, True, 1e-7)
+        payload, tolerances = run("embed", cloud)
+        assert payload["alpha"] is None and tolerances["spectral_tol"] == 1e-9
+        assert not out.exists()
+        payload, tolerances = run("validate", cloud)
+        assert tolerances == {"triangle_tol": 1e-9}
 
 
 class TestToleranceOption:
@@ -285,21 +353,38 @@ class TestNegtype:
 
     def test_strict_failure_decides_each_metric_once(self, claw_json, collinear_json,
                                                       monkeypatch):
-        eigh = np.linalg.eigh
-        calls = []
+        # eigenvalues first; the eigenpairs of the metric whose verdict fails
+        # give the witness
+        calls = {"eigh": 0, "eigvalsh": 0}
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            kernel = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+            def count(a, *args, **kwargs):
+                calls[name] += 1
+                return kernel(a, *args, **kwargs)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         # the hypothesis fails: X alone is decided
         assert main(["negtype", claw_json, "--alpha", "0.5", "--strict"]) == 2
-        assert len(calls) == 1
-        calls.clear()
-        # the margin fails: X, then X**alpha
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+        calls.update(eigh=0, eigvalsh=0)
+        # the margin fails: the values of X, then X**alpha
         assert main(["negtype", collinear_json, "--alpha", "1", "--strict"]) == 2
-        assert len(calls) == 2
+        assert calls == {"eigh": 1, "eigvalsh": 2}
+
+    def test_collinear_cloud_strict_at_zero_tolerance(self, tmp_path):
+        # a cloud is Euclidean by construction: round-off in the eigenvalues of
+        # X itself (about -4e-13 here) decides nothing at --tol 0
+        cloud = write_json(tmp_path / "line.json", {"points": [[float(i)] for i in range(30)]})
+        report_path = tmp_path / "report.json"
+        assert main(["negtype", cloud, "--alpha", "0.5", "--strict", "--tol", "0",
+                     "--json", str(report_path)]) == 0
+        payload = json.loads(report_path.read_text())["payload"]
+        assert payload["is_strict"] is True and payload["witness"] is None
+        assert payload["min_eigenvalue"]["value"] > payload["min_eigenvalue"]["tolerance"] == 0.0
 
 
 class TestEmbed:
@@ -317,6 +402,19 @@ class TestEmbed:
         d = pairwise_distances(coords)
         assert d[0, 1] == pytest.approx(1.0, abs=1e-9)
         assert d[0, 2] == pytest.approx(2 ** 0.5, abs=1e-9)
+
+    def test_collinear_cloud_at_zero_tolerance(self, tmp_path):
+        # the hypothesis holds by construction for a cloud, whatever the
+        # round-off in the eigenvalues of X
+        cloud = write_json(tmp_path / "line.json", {"points": [[float(i)] for i in range(30)]})
+        out = tmp_path / "coords.json"
+        report_path = tmp_path / "report.json"
+        assert main(["embed", cloud, "--alpha", "0.5", "--tol", "0", "--out", str(out),
+                     "--json", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["payload"]["rank"] == 29
+        coords = np.asarray(strict_loads(out.read_text())["points"])
+        expected = np.abs(np.subtract.outer(np.arange(30.0), np.arange(30.0))) ** 0.5
+        assert np.allclose(pairwise_distances(coords), expected, rtol=0.0, atol=1e-12)
 
     def test_alpha_one_flags_rank_deficit(self, collinear_json, tmp_path):
         report_path = tmp_path / "report.json"

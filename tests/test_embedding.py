@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 import snowflake_embed.embedding as embedding_module
@@ -18,6 +20,7 @@ from snowflake_embed import (
 from snowflake_embed.errors import (
     DimensionMismatch,
     DomainError,
+    DuplicatePoints,
     NotEmbeddable,
     TheoremViolation,
 )
@@ -220,6 +223,123 @@ class TestSnowflakeEmbed:
         assert res.residual <= 1e-8
 
 
+def eigenpair_embedding(X, alpha):
+    """The embedding of X**alpha that its eigenpairs give, rank n-1 required, or
+    None where they reject it."""
+    Y = snowflake(X, alpha)
+    try:
+        result = embedding_module._coordinates(Y, spectral_decision(Y, 1e-9))
+    except NotEmbeddable:
+        return None
+    return result if result.rank == X.n - 1 else None
+
+
+@st.composite
+def near_collision_clouds(draw):
+    """2-40 points in 1-4 dimensions at a random scale, with one point moved
+    next to another in about half of the draws."""
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.standard_normal((n, m)) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        gap = 10.0 ** draw(st.integers(-9, -2))
+        points[1] = points[0] + gap * np.abs(points[0]).max() * rng.standard_normal(m)
+    return points
+
+
+class TestFactorPath:
+    """``snowflake_embed`` from the eigenvalues and a Cholesky factor."""
+
+    def test_coordinates_reproduce_the_gram_matrix(self, make_cloud):
+        X = euclidean_metric(make_cloud(30, 3))
+        res = snowflake_embed(X, 0.5)
+        C = res.coordinates
+        assert C.shape == (30, 29) and res.rank == 29
+        assert C.flags.c_contiguous and not C.flags.writeable
+        assert not res.eigenvalues.flags.writeable
+        assert np.all(np.diff(res.eigenvalues) <= 0.0)
+        B = gram_from_distances(snowflake(X, 0.5).d ** 2)
+        assert np.abs(C @ C.T - B).max() <= 1e-13 * np.abs(B).max()
+        # the same distances as the eigenpairs' coordinates, in another frame
+        reference = eigenpair_embedding(X, 0.5)
+        assert np.allclose(pdist(C), pdist(reference.coordinates), rtol=1e-12, atol=0.0)
+        assert np.allclose(res.eigenvalues, reference.eigenvalues,
+                           rtol=0.0, atol=1e-12 * res.eigenvalues[0])
+
+    @given(points=near_collision_clouds(), alpha=st.floats(0.01, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_what_the_eigenpairs_accept(self, points, alpha):
+        try:
+            X = euclidean_metric(points)
+        except DuplicatePoints:
+            assume(False)
+        reference = eigenpair_embedding(X, alpha)
+        try:
+            res = snowflake_embed(X, alpha)
+        except NotEmbeddable:
+            event("rejected")
+            assert reference is None
+            return
+        event("accepted" if reference is not None else "accepted, eigenpairs reject")
+        n = X.n
+        C = res.coordinates
+        assert C.shape == (n, n - 1) and res.rank == n - 1
+        eps = np.finfo(float).eps
+        assert np.abs(C.sum(axis=0)).max() <= 4.0 * n * eps * np.abs(C).max()
+        assert res.residual <= embedding_module.RESIDUAL_LIMIT
+        assert embedding_residual(C, snowflake(X, alpha)) == res.residual
+
+    def test_memory_peak(self, rng):
+        # the snowflake, its factor or coordinates, and the residual's pair
+        # arrays; the input's own distances are held before the call
+        n = 400
+        X = euclidean_metric(rng.standard_normal((n, 3)))
+        tracemalloc.start()
+        try:
+            snowflake_embed(X, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.1 * n * n * 8  # bytes
+
+    def test_residual_over_the_limit_tries_the_eigenpairs(self, make_cloud, monkeypatch):
+        X = euclidean_metric(make_cloud(12, 2))
+        reference = eigenpair_embedding(X, 0.5)
+        residual = embedding_module.embedding_residual
+        calls = []
+
+        def factor_fails(coords, Y):
+            calls.append(coords.shape)
+            return 1.0 if len(calls) == 1 else residual(coords, Y)
+
+        monkeypatch.setattr(embedding_module, "embedding_residual", factor_fails)
+        res = snowflake_embed(X, 0.5)
+        assert len(calls) == 2
+        assert res.coordinates.tobytes() == reference.coordinates.tobytes()
+        assert res.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+
+    def test_factor_residual_is_the_failure_the_eigenpairs_cannot_mend(self, make_cloud,
+                                                                       monkeypatch):
+        # eigenpairs that miss rank n-1 after the factor proved the margin leave
+        # the factor's residual as the verdict, as the strict check agrees
+        X = euclidean_metric(make_cloud(12, 2))
+        monkeypatch.setattr(embedding_module, "embedding_residual", lambda coords, Y: 1.0)
+        monkeypatch.setattr(embedding_module, "spectral_decision",
+                            lambda Y, tol: spectral_decision(Y, 0.5))
+        with pytest.raises(NotEmbeddable) as exc:
+            snowflake_embed(X, 0.5)
+        assert exc.value.reason == "reconstruction residual 1.000e+00 exceeds 1e-08"
+        assert exc.value.threshold == embedding_module.RESIDUAL_LIMIT
+
+    def test_provenance_skips_the_hypothesis(self):
+        # 30 collinear points at --tol 0: the eigenvalues of X itself include
+        # round-off below zero, but X is Euclidean by construction
+        X = euclidean_metric(np.arange(30.0)[:, None])
+        assert not spectral_decision(validate_metric(X.d), 0.0)[0].is_negative_type
+        res = snowflake_embed(X, 0.5, tol=0.0)
+        assert res.rank == 29
+
+
 class TestEmbeddingResidual:
     def test_exact_embedding(self):
         X = validate_metric([[0, 5], [5, 0]])
@@ -241,17 +361,18 @@ class TestEmbeddingResidual:
         X = validate_metric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         assert embedding_residual(np.zeros((3, 0)), X) == 1.0
 
-    @pytest.mark.parametrize("points, alpha, accepted", [
-        (np.random.default_rng(1).standard_normal((40, 3)), 0.5, True),
-        (np.random.default_rng(2).standard_normal((60, 3)), 0.9, True),
-        (np.random.default_rng(3).standard_normal((30, 3)), None, True),
-        (np.arange(50.0)[:, None], 0.5, True),
-        # the residual limit rejects these two (ROADMAP item 1)
-        (np.arange(200.0)[:, None], 0.999, False),
-        (np.array([[0.0], [1e-5], [0.5], [1.0]]), 0.8, False),
+    @pytest.mark.parametrize("points, alpha, accepted, embeds", [
+        (np.random.default_rng(1).standard_normal((40, 3)), 0.5, True, True),
+        (np.random.default_rng(2).standard_normal((60, 3)), 0.9, True, True),
+        (np.random.default_rng(3).standard_normal((30, 3)), None, True, None),
+        (np.arange(50.0)[:, None], 0.5, True, True),
+        # the residual limit rejects the eigenpairs' coordinates of these two
+        # (ROADMAP item 1); the Cholesky coordinates of the tight pair pass it
+        (np.arange(200.0)[:, None], 0.999, False, False),
+        (np.array([[0.0], [1e-5], [0.5], [1.0]]), 0.8, False, True),
     ], ids=["cloud40-a0.5", "cloud60-a0.9", "cloud30", "grid50-a0.5", "grid200-a0.999",
             "tight-a0.8"])
-    def test_decision_and_value_match_differences(self, points, alpha, accepted):
+    def test_decision_and_value_match_differences(self, points, alpha, accepted, embeds):
         X = euclidean_metric(points)
         Y = X if alpha is None else snowflake(X, alpha)
         _, mu, U, keep = spectral_decision(Y, 1e-9)
@@ -269,7 +390,10 @@ class TestEmbeddingResidual:
         gamma = k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
         radius = squareform(norms[:, None] + norms[None, :], checks=False)
         assert abs(value - by_differences) <= np.max(2.0 * gamma * radius ** 2 / (direct * target))
-        if alpha is not None and not accepted:
+        if embeds:
+            res = snowflake_embed(X, alpha)
+            assert res.rank == X.n - 1 and res.residual <= limit
+        elif embeds is not None:
             with pytest.raises(NotEmbeddable):
                 snowflake_embed(X, alpha)
 
@@ -321,24 +445,33 @@ class TestThresholdCarried:
         assert exc.value.reason == HYPOTHESIS_FAILS
 
     def test_residual_failure_carries_residual_limit(self):
-        # strict at alpha = 0.8, but the closest pair is below what the
-        # residual limit can certify at this configuration scale
-        X = euclidean_metric([[0.0], [1e-5], [0.5], [1.0]])
+        # at alpha = 0.999 the grid's smallest eigenvalue is below the spectral
+        # threshold, so the eigenpairs decide, and their coordinates miss the
+        # residual limit (ROADMAP item 1)
+        X = euclidean_metric(np.arange(200.0)[:, None])
         with pytest.raises(NotEmbeddable) as exc:
-            snowflake_embed(X, 0.8)
+            snowflake_embed(X, 0.999)
         assert "residual" in exc.value.reason
         assert exc.value.threshold == embedding_module.RESIDUAL_LIMIT
 
-    def test_two_eigendecompositions(self, make_cloud, monkeypatch):
-        # the hypothesis on X, then the decision on X**alpha that also
-        # gives the coordinates
-        eigh = np.linalg.eigh
-        calls = []
+    def test_eigenvalues_and_one_factor(self, make_cloud, monkeypatch):
+        # a cloud is Euclidean by construction: the eigenvalues of X**alpha,
+        # then its factor; a distance matrix adds the eigenvalues of X
+        calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
-        def counting(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
+        def counting(name):
+            kernel = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        snowflake_embed(euclidean_metric(make_cloud(10, 2)), 0.5)
-        assert len(calls) == 2
+            def count(a, *args, **kwargs):
+                calls[name] += 1
+                return kernel(a, *args, **kwargs)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        X = euclidean_metric(make_cloud(10, 2))
+        snowflake_embed(X, 0.5)
+        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 1}
+        calls.update(eigh=0, eigvalsh=0, cholesky=0)
+        snowflake_embed(validate_metric(X.d), 0.5)
+        assert calls == {"eigh": 0, "eigvalsh": 2, "cholesky": 1}

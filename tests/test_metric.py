@@ -430,6 +430,22 @@ class TestEuclideanMetric:
             euclidean_metric([[1.0], [0.0], [1.0], [0.0], [2.0]])
         assert exc.value.pairs == [(0, 2), (1, 3)]
 
+    def test_points_are_a_read_only_copy(self):
+        coords = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+        X = euclidean_metric(coords)
+        assert np.array_equal(X.points, coords) and X.points is not coords
+        assert not X.points.flags.writeable
+        coords[0, 0] = 9.0
+        assert X.points[0, 0] == 0.0
+        assert np.array_equal(pairwise_distances(X.points), X.d)
+
+    def test_only_points_carry_provenance(self):
+        X = euclidean_metric([[0.0], [1.0], [3.0]])
+        assert validate_metric(X.d).points is None
+        assert snowflake(X, 1.0).points.tobytes() == X.points.tobytes()
+        for alpha in (0.0, 0.5):
+            assert snowflake(X, alpha).points is None
+
     def test_overflow_raises_without_warning(self):
         # the squared difference 1e400 overflows: a verdict, not a RuntimeWarning
         with warnings.catch_warnings(record=True) as caught:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
@@ -23,7 +23,8 @@ from snowflake_embed.errors import (
     NotStrict,
     TheoremViolation,
 )
-from snowflake_embed.negative_type import centered_spectrum
+from snowflake_embed.negative_type import (centered_spectrum, restricted_form, restricted_values,
+                                           sumzero_columns)
 
 from oracles import general_position_certificate, geometric_form_check
 
@@ -107,6 +108,29 @@ class TestCenteredSpectrum:
         assert np.allclose(evals, np.sort(full_spectrum_oracle(D)), rtol=0, atol=1e-12)
         assert np.abs(B @ V - V * evals).max() <= 1e-12 * 2.0
         assert np.abs(V.sum(axis=0)).max() < 1e-13
+
+
+class TestRestrictedForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_is_the_reflected_form(self, n, make_cloud):
+        B = gram_from_distances(euclidean_metric(make_cloud(n, 3)).d ** 2)
+        M, w, c = restricted_form(B)
+        H = np.eye(n) - c * np.outer(w, w)
+        assert np.allclose(H @ np.ones(n), -np.sqrt(n) * np.eye(n)[0], rtol=0, atol=1e-14 * n)
+        assert np.allclose(M, (H @ B @ H)[1:, 1:], rtol=0, atol=1e-13 * max(np.abs(B).max(), 1))
+        # the row and column vectors of the broadcast give the outer products' floats
+        Bw = B @ w
+        w1, y1 = w[1:], (c * Bw - 0.5 * c * c * (w @ Bw) * w)[1:]
+        assert M.tobytes() == (B[1:, 1:] - (np.outer(w1, y1) + np.outer(y1, w1))).tobytes()
+        W = np.random.default_rng(n).standard_normal((n - 1, 4))
+        assert np.allclose(sumzero_columns(W, w, c), H[:, 1:] @ W, rtol=0, atol=1e-14 * n)
+
+    def test_values_are_the_spectrum(self, make_cloud):
+        X = snowflake(euclidean_metric(make_cloud(25, 2)), 0.5)
+        evals, M, _, _ = restricted_values(X)
+        expected = centered_spectrum(gram_from_distances(X.d ** 2))[0]
+        assert M.shape == (24, 24)
+        assert np.allclose(evals, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
 class TestCheckNegativeType:
@@ -332,6 +356,9 @@ class TestOneSpectralDecision:
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
     )
+    # eigvalsh shows the margin (1.1e-16 > 0), eigh does not (-9.3e-16), and
+    # the factor does not exist: the strict check and the embedding both fail
+    @example(kind="near", seed=76, n=4, m=1, alpha=0.9999999999999999, tol=0.0)
     @settings(max_examples=80, deadline=None)
     def test_verdicts_agree(self, kind, seed, n, m, alpha, tol):
         X, pts = agreement_input(kind, seed, n, m)
