@@ -2,8 +2,9 @@
 
 Exit codes are a stable contract: 0 the requested property holds, 2 it
 fails (details in the report payload), 3 I/O or parse trouble, 4 usage
-errors.  Runs are fully deterministic; every numeric verdict in a payload
-carries the tolerance it was judged against.  Every file written is one line
+errors.  Runs are deterministic for one numpy/BLAS build and thread count;
+every numeric verdict in a payload carries the tolerance it was judged
+against.  Every file written is one line
 of RFC 8259 JSON: a finite float in its shortest form that reads back
 bit-equal, a non-finite one as ``null``.  Each input file is read once; its
 digest and its decoding use the same bytes.  The table of a JSON input

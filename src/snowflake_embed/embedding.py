@@ -2,7 +2,9 @@
 
 Classical double centering: B = -1/2 P D P is the Gram matrix of the
 embedded points about their centroid, so the coordinates are eigenvectors
-scaled by square roots of eigenvalues.  For a snowflaked metric d**alpha
+scaled by square roots of eigenvalues.  A point cloud gets them from the thin
+SVD of its centred points (``negative_type.spectral_decision``), on principal
+axes like those of a distance matrix.  For a snowflaked metric d**alpha
 with alpha in (0, 1) of a negative-type input the embedding is certified
 to have full rank n-1: the embedded points are always in general position,
 and a rank deficit is reported as an error rather than silently accepted.
@@ -25,7 +27,8 @@ from .negative_type import (DEFAULT_TOL, snowflake_decision, spectral_decision, 
 #: Largest admissible relative distance-reconstruction error.
 RESIDUAL_LIMIT = 1e-8
 
-#: Cap on point count, bounding the dense O(n^3) eigendecomposition.
+#: Cap on point count, bounding the O(n^2) memory and O(n^3) time of the dense
+#: eigenvalues, factor and residual of a snowflake.
 MAX_POINTS = 4096
 
 
@@ -34,7 +37,8 @@ class EmbeddingResult:
     """Embedded coordinates plus the data certifying the embedding.
 
     ``eigenvalues`` is the full nonincreasing spectrum (length n-1) of the
-    centered Gram form on the sum-zero subspace; ``rank`` counts the kept
+    centered Gram form on the sum-zero subspace; those of a point cloud beyond
+    its first min(n-1, m) are exact zeros.  ``rank`` counts the kept
     eigenpairs; ``residual`` is the max relative distance-reconstruction
     error.  Coordinates are centered at the centroid and unique only up to
     rigid motion.
@@ -58,7 +62,8 @@ def embed(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> EmbeddingResult:
     ``spectral_decision`` decides: a metric not of negative type raises
     NotEmbeddable with the eigenvector of the most negative eigenvalue as
     the violating weight vector, and the eigenpairs it keeps give the
-    coordinates.  The reconstruction residual is verified against
+    coordinates: those of the thin SVD of the centred points when X has
+    ``points``.  The reconstruction residual is verified against
     RESIDUAL_LIMIT.
     """
     check_point_count(X.n)
@@ -70,10 +75,19 @@ def _coordinates(X: FiniteMetricSpace, decision) -> EmbeddingResult:
     report, mu, U, keep = decision
     if not report.is_negative_type:
         raise NotEmbeddable(report.min_eigenvalue, report.threshold, witness=report.witness)
-    # C-contiguous copies, which the JSON writer serialises without tolist()
-    mu, U, keep = mu[::-1].copy(), U[:, ::-1], keep[::-1]
-    coords = np.multiply(U[:, keep], np.sqrt(mu[keep]), order="C")
-    result = _result(X, coords, mu, int(keep.sum()))
+    mu, U, keep = mu[::-1], U[:, ::-1], keep[::-1]
+    roots = np.sqrt(mu[keep])
+    if not np.isfinite(roots).all():
+        # a cloud's rank is decided on scaled values, and an eigenvalue past
+        # the double range, inf, has no root to give coordinates
+        raise NotEmbeddable(report.min_eigenvalue, report.threshold,
+                            reason="the largest eigenvalue overflows the double range")
+    # C-contiguous, which the JSON writer serialises without tolist(); the
+    # eigenvalues a cloud's decision leaves out are exact zeros
+    coords = np.multiply(U[:, keep], roots, order="C")
+    eigenvalues = np.zeros(max(X.n - 1, 0))
+    eigenvalues[:mu.size] = mu
+    result = _result(X, coords, eigenvalues, int(keep.sum()))
     if not result.residual <= RESIDUAL_LIMIT:
         # happens only for extreme dynamic range: pair distances so far
         # below the configuration scale that double precision cannot

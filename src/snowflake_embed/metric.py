@@ -54,11 +54,10 @@ def exponent_value(a: float) -> float:
 
 
 def _frozen_metric(d: np.ndarray, points: np.ndarray | None = None) -> FiniteMetricSpace:
-    # internal constructor for matrices already known to be metrics
-    d = np.asarray(d, dtype=float).copy()
+    # internal constructor for float arrays already known to be a metric and its
+    # points; it makes them read-only and owns them, so no caller may keep them
     d.flags.writeable = False
     if points is not None:
-        points = np.array(points, dtype=float)
         points.flags.writeable = False
     return FiniteMetricSpace(n=d.shape[0], d=d, points=points)
 
@@ -104,7 +103,7 @@ def validate_metric(matrix, tol: float = DEFAULT_TOL) -> FiniteMetricSpace:
         if k == 0 and n > 2 and (_euclidean_witness(d, slack) or _shortest_paths_pass(d, slack)):
             break
 
-    return _frozen_metric(d)
+    return _frozen_metric(d.copy())  # d may be the caller's array
 
 
 def _check_paths_through(d: np.ndarray, k: int, slack: float) -> None:
@@ -217,13 +216,15 @@ def snowflake(X: FiniteMetricSpace, a: float) -> FiniteMetricSpace:
     For alpha in (0, 1] the result is again a metric because t -> t**alpha
     is subadditive; alpha = 0 yields the uniform metric with all
     off-diagonal distances 1 (the pointwise limit for distinct points).
-    Only alpha = 1 keeps the ``points`` of X, whose distances d**alpha are then d.
+    Only alpha = 1 keeps the ``points`` of X, whose distances d**alpha are then d:
+    it returns X itself, which is immutable.
     """
     alpha = exponent_value(a)
     if alpha == 1.0:
-        return _frozen_metric(X.d, X.points)
+        return X
     if alpha == 0.0:
-        out = np.ones_like(X.d) - np.eye(X.n)
+        out = np.ones_like(X.d)
+        np.fill_diagonal(out, 0.0)
         return _frozen_metric(out)
     return _frozen_metric(X.d ** alpha)
 
@@ -305,7 +306,7 @@ def euclidean_metric(P) -> FiniteMetricSpace:
     The result is a Euclidean metric by construction, so it needs no triangle scan,
     and the theorem's hypothesis on it needs no spectral test.
     """
-    coords = np.atleast_2d(np.asarray(P, dtype=float))
+    coords = np.atleast_2d(np.array(P, dtype=float))  # P may be the caller's array
     if coords.ndim != 2:
         raise DimensionMismatch(f"points must form a 2-d array, got shape {coords.shape}")
     if not np.isfinite(coords).all():

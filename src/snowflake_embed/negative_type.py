@@ -6,8 +6,12 @@ criterion this is equivalent to isometric embeddability into Hilbert space.
 The decision here is spectral: the condition holds iff -1/2 P D P
 (P the centering projector) is positive semidefinite on the sum-zero
 subspace, so we diagonalize that restriction instead of searching over L.
-Eigenvalues come first: eigenvectors are computed only where a verdict needs a
-witness, and a strict verdict is proved by a Cholesky factor instead.
+On a distance matrix, eigenvalues come first: eigenvectors are computed only
+where a verdict needs a witness, and a strict verdict is proved by a Cholesky
+factor instead.  A point cloud is decided from its own coordinates: the thin
+SVD of its centred points gives the eigenpairs of the restricted form, of
+which at most m (the coordinate dimension) are not exactly zero, in
+O(n m^2) time, with no n x n matrix formed.
 """
 
 from __future__ import annotations
@@ -48,6 +52,15 @@ class NegativeTypeReport:
         return self.is_negative_type
 
 
+def _reflector(n: int) -> tuple[np.ndarray, float]:
+    """``(w, c)`` of the Householder reflection H = I - c w w^T that sends
+    ones/sqrt(n) to -e_0: its columns 1..n-1 are an orthonormal basis of the
+    sum-zero subspace."""
+    w = np.full(n, 1.0 / np.sqrt(n))
+    w[0] += 1.0
+    return w, 2.0 / (w @ w)
+
+
 def restricted_form(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The symmetric form B on the sum-zero subspace, in the basis of columns
     1..n-1 of the Householder reflection H = I - c w w^T sending ones/sqrt(n)
@@ -57,10 +70,7 @@ def restricted_form(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     so M is B[1:, 1:] less one row vector and one column vector, formed in
     one (n-1) x (n-1) buffer: no n x n basis or outer product is formed.
     """
-    n = B.shape[0]
-    w = np.full(n, 1.0 / np.sqrt(n))
-    w[0] += 1.0
-    c = 2.0 / (w @ w)
+    w, c = _reflector(B.shape[0])
     Bw = B @ w
     y = c * Bw - 0.5 * c * c * (w @ Bw) * w
     u = w[1:] * y[1:]  # row i of the outer product w[1:] y[1:]^T, the same for every i
@@ -154,12 +164,69 @@ def spectral_decision(X: FiniteMetricSpace, tol: float = DEFAULT_TOL):
     """The one spectral decision on X, from -1/2 P D P on the sum-zero subspace.
 
     ``spectral_report`` of the eigenpairs, and the eigenpairs above its
-    threshold are kept.  Returns the report, the ascending eigenvalues, the
-    (n, n-1) sum-zero eigenvectors and the kept mask.
+    threshold are kept.  Returns the report, the ascending eigenvalues, their
+    sum-zero eigenvectors as the columns of an (n, k) matrix and the kept mask.
+    A distance matrix gives all k = n-1 eigenpairs, by ``centered_spectrum``;
+    X with ``points`` and n > 1 gives the k = min(n-1, m) of ``_point_decision``,
+    the other n-1-k eigenvalues being exactly zero.
     """
+    if X.points is not None and X.n > 1:
+        return _point_decision(X.points, tol)
     evals, vecs = centered_spectrum(gram_from_distances(X.d ** 2))
     report = spectral_report(evals, tol, vecs)
     return report, evals, vecs, evals > report.threshold
+
+
+def _point_decision(points: np.ndarray, tol: float):
+    """``spectral_decision`` of the Euclidean metric of the rows of ``points``
+    (n x m, n > 1), from the points alone.
+
+    The centred points x, scaled by the power of two 2**e that brings their
+    largest entry into [1/2, 1), give A = (H x)[1:] (H the ``_reflector``), the
+    coordinates of the points in the basis H[:, 1:] of the sum-zero subspace,
+    and A A^T is the restricted form times 4**e.  The thin SVD A = U S V^T gives
+    its k = min(n-1, m) eigenpairs (s**2, H[:, 1:] U); the other n-1-k
+    eigenvalues are exactly zero.  The one spectral rule decides on the scaled
+    values, which can neither overflow nor be NaN; the values reported are
+    scaled back by 4**-e, so that they overflow to inf only beyond the double
+    range.  Unless strict, the witness is the eigenvector of the smallest
+    eigenvalue: the last singular vector when k = n-1, else a unit vector of the
+    exact kernel, orthogonal to every column of U.  Costs O(n m^2).
+    """
+    n = points.shape[0]
+    x = points - points[0]  # finite wherever the distances are, however far the cloud lies
+    x -= x.mean(axis=0)
+    e = -int(np.frexp(np.abs(x).max())[1])
+    np.ldexp(x, e, out=x)
+    w, c = _reflector(n)
+    U, s, _ = np.linalg.svd(x[1:] - c * np.outer(w[1:], w @ x), full_matrices=False)
+    U, scaled = U[:, ::-1], np.square(s[::-1])  # ascending
+    kernel = n - 1 - scaled.size
+    decided = spectral_report(np.concatenate([np.zeros(kernel), scaled]), tol)
+    vecs = sumzero_columns(U, w, c)
+    if decided.is_strict:
+        witness = None
+    elif kernel:
+        witness = sumzero_columns(_kernel_vector(U)[:, None], w, c)[:, 0]
+    else:
+        witness = vecs[:, 0]
+    with np.errstate(over="ignore"):  # inf beyond the double range
+        evals = np.ldexp(scaled, -2 * e)
+        min_eig, threshold = np.ldexp([decided.min_eigenvalue, decided.threshold], -2 * e)
+    report = NegativeTypeReport(decided.is_negative_type, decided.is_strict, float(min_eig),
+                                witness, float(threshold))
+    return report, evals, vecs, scaled > decided.threshold
+
+
+def _kernel_vector(U: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to the orthonormal columns of U ((n-1) x k,
+    k < n-1): e_j with the columns projected out twice, j the row of least
+    leverage, whose norm after one projection is at least (1 - k/(n-1))**0.5."""
+    j = int(np.einsum("ij,ij->i", U, U).argmin())
+    v = -(U @ U[j])
+    v[j] += 1.0
+    v -= U @ (U.T @ v)
+    return v / np.linalg.norm(v)
 
 
 def check_negative_type(X: FiniteMetricSpace, tol: float = DEFAULT_TOL) -> NegativeTypeReport:
@@ -201,15 +268,17 @@ def check_strict_negative_type(
     ``strict_factor`` exists, as in ``snowflake_embed``, and the report then
     comes from the eigenvalues, with no witness; otherwise the eigenpairs
     decide, so that a failure carries the eigenvector of the smallest
-    eigenvalue.
+    eigenvalue.  X**1 with ``points`` (a point cloud at alpha = 1) is decided
+    by its ``spectral_decision`` alone, from its coordinates, with no factor.
     """
     alpha = exponent_value(a)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"strict negative type needs alpha in (0, 1], got {alpha!r}")
     Y = snowflake_decision(X, alpha, tol, NotStrict)
-    evals, L, _, _ = strict_factor(Y, tol)
-    if L is not None:
-        return spectral_report(evals, tol)
+    if Y.points is None:
+        evals, L, _, _ = strict_factor(Y, tol)
+        if L is not None:
+            return spectral_report(evals, tol)
     report = spectral_decision(Y, tol)[0]
     if not report.is_strict:
         raise NotStrict(report.min_eigenvalue, report.threshold, witness=report.witness,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from snowflake_embed import (cli, close_group, embed, embedding, euclidean_metric, lift_orbits,
-                             qng_embed, snowflake_embed, validate_metric)
+                             qng_embed, quadratic_form, snowflake_embed, validate_metric)
 from snowflake_embed.cli import main
 from snowflake_embed.errors import NotEmbeddable, QuadratureNonconvergence, VerificationFailure
 from snowflake_embed.metric import pairwise_distances
@@ -56,6 +56,23 @@ def cloud_and_matrix_json(tmp_path, make_cloud):
     d = euclidean_metric(pts).d
     matrix = write_json(tmp_path / "matrix.json", {"distances": d.tolist()})
     return pts, cloud, matrix
+
+
+def count_kernels(monkeypatch):
+    """A dict counting the calls of numpy's ``eigh`` and ``eigvalsh`` from now on."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        kernel = getattr(np.linalg, name)
+
+        def count(a, *args, **kwargs):
+            calls[name] += 1
+            return kernel(a, *args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    return calls
 
 
 def spectral_radius(d):
@@ -355,18 +372,7 @@ class TestNegtype:
                                                       monkeypatch):
         # eigenvalues first; the eigenpairs of the metric whose verdict fails
         # give the witness
-        calls = {"eigh": 0, "eigvalsh": 0}
-
-        def counting(name):
-            kernel = getattr(np.linalg, name)
-
-            def count(a, *args, **kwargs):
-                calls[name] += 1
-                return kernel(a, *args, **kwargs)
-            return count
-
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
+        calls = count_kernels(monkeypatch)
         # the hypothesis fails: X alone is decided
         assert main(["negtype", claw_json, "--alpha", "0.5", "--strict"]) == 2
         assert calls == {"eigh": 1, "eigvalsh": 1}
@@ -497,8 +503,28 @@ class TestPointCloudInput:
         monkeypatch.setattr(cli, "validate_metric", refuse)
         code = main([argv[0], cloud, *argv[1:], "--json", str(tmp_path / "c.json")])
         assert code == expected == 0
-        assert (json.loads((tmp_path / "c.json").read_text())["payload"]
-                == json.loads((tmp_path / "m.json").read_text())["payload"])
+        by_points = json.loads((tmp_path / "c.json").read_text())["payload"]
+        by_matrix = json.loads((tmp_path / "m.json").read_text())["payload"]
+        if argv == ["negtype"]:
+            # the cloud's spectrum comes from its 3 coordinates: its smallest of 11
+            # eigenvalues is an exact zero, the matrix's a round-off within the
+            # threshold, and its witness a unit vector of the exact kernel
+            points, matrix_ = by_points.pop("min_eigenvalue"), by_matrix.pop("min_eigenvalue")
+            assert points["value"] == 0.0 and abs(matrix_["value"]) <= matrix_["tolerance"]
+            assert points["tolerance"] == pytest.approx(matrix_["tolerance"], rel=1e-12)
+            witness = np.asarray(by_points.pop("witness"))
+            by_matrix.pop("witness")
+            d = json.loads(Path(matrix).read_text())["distances"]
+            assert abs(witness.sum()) <= 1e-14 and np.linalg.norm(witness) == pytest.approx(1.0)
+            assert abs(quadratic_form(np.square(d), witness)) <= 1e-13 * np.square(d).max()
+        elif argv == ["embed"]:
+            points, matrix_ = (np.asarray(payload.pop("eigenvalues"))
+                               for payload in (by_points, by_matrix))
+            assert np.allclose(points[:3], matrix_[:3], rtol=1e-12, atol=0.0)
+            assert not points[3:].any() and np.abs(matrix_[3:]).max() <= 1e-12 * matrix_[0]
+            for payload in (by_points, by_matrix):
+                assert payload.pop("residual")["value"] <= embedding.RESIDUAL_LIMIT
+        assert by_points == by_matrix
 
     @pytest.mark.parametrize("command", ["validate", "negtype", "embed"])
     def test_coincident_points_reported(self, command, tmp_path):
@@ -524,6 +550,88 @@ class TestPointCloudInput:
         assert main([command, cloud, "--json", str(report_path)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not report_path.exists()
+
+
+class TestCloudSpectrum:
+    """A point cloud is decided and embedded from the thin SVD of its centred
+    points, so round-off in a Gram matrix it never forms decides nothing."""
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(60).standard_normal((60, 3)),
+        np.arange(30.0)[:, None],
+    ], ids=["gaussian60", "collinear30"])
+    @pytest.mark.parametrize("command", ["negtype", "embed"])
+    def test_zero_tolerance(self, command, points, tmp_path):
+        # both exited 2 on a round-off eigenvalue of about -3e-14 of the full eigh
+        cloud = write_json(tmp_path / "cloud.json", {"points": points.tolist()})
+        report_path = tmp_path / "report.json"
+        assert main([command, cloud, "--tol", "0", "--json", str(report_path)]) == 0
+        payload = strict_loads(report_path.read_text())["payload"]
+        if command == "negtype":
+            assert payload["is_negative_type"] and not payload["is_strict"]
+            assert payload["min_eigenvalue"] == {"value": 0.0, "tolerance": 0.0}
+        else:
+            n, m = points.shape
+            assert payload["rank"] == m and payload["eigenvalues"][m:] == [0.0] * (n - 1 - m)
+
+    @pytest.mark.parametrize("scale", [1.0, 5e153])
+    def test_strict_alpha_one_in_general_position(self, scale, tmp_path):
+        # at 5e153 the centred Gram matrix of the distances overflowed, and the
+        # eigvalsh of its restricted form raised LinAlgError out of main
+        points = np.random.default_rng(7).standard_normal((4, 3)) * scale
+        cloud = write_json(tmp_path / "cloud.json", {"points": points.tolist()})
+        report_path = tmp_path / "report.json"
+        assert main(["negtype", cloud, "--alpha", "1", "--strict", "--tol", "0",
+                     "--json", str(report_path)]) == 0
+        payload = strict_loads(report_path.read_text())["payload"]
+        assert payload["is_strict"] and payload["witness"] is None
+
+    def test_distances_near_the_top_of_the_range(self, tmp_path):
+        # finite distances whose squares' row sums overflow: the centred Gram
+        # matrix of the distances held NaN, and the verdict followed it
+        cloud = write_json(tmp_path / "cloud.json", {
+            "points": (np.random.default_rng(50).standard_normal((50, 3)) * 1e153).tolist()})
+        report_path = tmp_path / "report.json"
+        assert main(["embed", cloud, "--json", str(report_path)]) == 0
+        payload = strict_loads(report_path.read_text())["payload"]
+        assert payload["rank"] == 3 and payload["residual"]["value"] <= embedding.RESIDUAL_LIMIT
+        assert np.isfinite(payload["eigenvalues"][:3]).all()
+
+    def test_eigenvalue_beyond_the_range(self, tmp_path):
+        # 500 points at 1e153: the largest eigenvalue is about 5e308, beyond
+        # the double range, and the verdicts are taken on scaled values
+        cloud = write_json(tmp_path / "cloud.json", {
+            "points": (np.random.default_rng(500).standard_normal((500, 3)) * 1e153).tolist()})
+        report_path = tmp_path / "report.json"
+        assert main(["negtype", cloud, "--json", str(report_path)]) == 0
+        payload = strict_loads(report_path.read_text())["payload"]
+        assert payload["is_negative_type"] and not payload["is_strict"]
+        # 1e-9 times the eigenvalue past the range, which would itself be inf
+        assert payload["min_eigenvalue"]["value"] == 0.0
+        assert 1e299 < payload["min_eigenvalue"]["tolerance"] < np.finfo(float).max
+        assert np.isfinite(payload["witness"]).all()
+        assert main(["embed", cloud, "--json", str(report_path)]) == 2
+        failure = strict_loads(report_path.read_text())["payload"]["failure"]
+        assert failure["error"] == "NotEmbeddable"
+        assert failure["reason"] == "the largest eigenvalue overflows the double range"
+
+    @pytest.mark.parametrize("argv, by_points, by_matrix", [
+        (["embed"], {"eigh": 0, "eigvalsh": 0}, {"eigh": 1, "eigvalsh": 0}),
+        (["negtype"], {"eigh": 0, "eigvalsh": 0}, {"eigh": 1, "eigvalsh": 0}),
+        (["negtype", "--alpha", "1"], {"eigh": 0, "eigvalsh": 0}, {"eigh": 1, "eigvalsh": 0}),
+        (["negtype", "--alpha", "1", "--strict"], {"eigh": 0, "eigvalsh": 0},
+         {"eigh": 1, "eigvalsh": 2}),
+    ], ids=["embed", "negtype", "negtype-alpha1", "negtype-alpha1-strict"])
+    def test_no_eigendecomposition(self, argv, by_points, by_matrix, cloud_and_matrix_json,
+                                   monkeypatch):
+        _, cloud, matrix = cloud_and_matrix_json
+        calls = count_kernels(monkeypatch)
+        code = 2 if "--strict" in argv else 0  # 12 points in E^3 are not strict at alpha 1
+        assert main([argv[0], cloud, *argv[1:]]) == code
+        assert calls == by_points
+        calls.update(eigh=0, eigvalsh=0)
+        assert main([argv[0], matrix, *argv[1:]]) == code
+        assert calls == by_matrix
 
 
 class TestSchoenberg:

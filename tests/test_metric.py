@@ -390,6 +390,24 @@ class TestSnowflake:
             for a in (0.0, 0.1, 0.5, 0.9, 1.0):
                 validate_metric(snowflake(X, a).d, tol=1e-12)
 
+    def test_result_owns_its_one_array(self, rng):
+        # d**alpha is the result's array, not the source of a copy: one n x n
+        # matrix at the peak, where there were two
+        n = 300
+        X = euclidean_metric(rng.standard_normal((n, 3)))
+        tracemalloc.start()
+        try:
+            Y = snowflake(X, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * n * 8  # bytes
+        assert not Y.d.flags.writeable and Y.points is None
+
+    def test_alpha_one_is_the_space_itself(self):
+        X = euclidean_metric([[0.0], [1.0], [3.0]])
+        assert snowflake(X, 1.0) is X
+
 
 class TestEuclideanMetric:
     def test_line_segment(self):
@@ -438,6 +456,21 @@ class TestEuclideanMetric:
         coords[0, 0] = 9.0
         assert X.points[0, 0] == 0.0
         assert np.array_equal(pairwise_distances(X.points), X.d)
+
+    def test_caller_array_is_not_the_space(self):
+        # the space keeps copies of what the caller passed, which the caller
+        # may go on to change; the distances it computes are its own
+        coords = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+        X = euclidean_metric(coords)
+        d = np.array(X.d)
+        Y = validate_metric(d)
+        coords[:] = 7.0
+        d[:] = 9.0
+        assert np.array_equal(X.points, [[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
+        assert np.array_equal(X.d, pairwise_distances(X.points))
+        assert np.array_equal(Y.d, X.d)
+        for array in (X.d, X.points, Y.d):
+            assert not array.flags.writeable
 
     def test_only_points_carry_provenance(self):
         X = euclidean_metric([[0.0], [1.0], [3.0]])

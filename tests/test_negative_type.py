@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from snowflake_embed import (
+    FiniteMetricSpace,
     check_negative_type,
     check_strict_negative_type,
     embed,
@@ -23,8 +26,9 @@ from snowflake_embed.errors import (
     NotStrict,
     TheoremViolation,
 )
+from snowflake_embed.embedding import RESIDUAL_LIMIT
 from snowflake_embed.negative_type import (centered_spectrum, restricted_form, restricted_values,
-                                           sumzero_columns)
+                                           spectral_decision, sumzero_columns)
 
 from oracles import general_position_certificate, geometric_form_check
 
@@ -439,3 +443,73 @@ class TestThresholdCarried:
         assert exc.value.threshold == report.threshold
         assert exc.value.min_eigenvalue == report.min_eigenvalue
         assert abs(exc.value.min_eigenvalue) <= exc.value.threshold
+
+
+#: Unit roundoff of a double, 2**-53.
+UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+@st.composite
+def lifted_clouds(draw):
+    """1-20 points: a generic cloud in E^m (m = 1-5), or a collinear or coplanar
+    one lifted into E^m (m = 3-5) along a random line or plane, with a random
+    offset, scaled by 2**-200, 1 or 2**200."""
+    kind = draw(st.sampled_from(["generic", "collinear", "coplanar"]))
+    m = draw(st.integers(1, 5) if kind == "generic" else st.integers(3, 5))
+    n = draw(st.integers(1, 20))
+    scale = 2.0 ** draw(st.sampled_from([-200, 0, 200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = {"generic": m, "collinear": 1, "coplanar": 2}[kind]
+    points = rng.standard_normal((n, r)) @ rng.standard_normal((r, m)) + rng.standard_normal(m)
+    return points * scale
+
+
+class TestPointDecision:
+    """A cloud's decision, from the SVD of its centred points, against the same
+    metric without its points, decided by the eigenpairs of its Gram form."""
+
+    @given(points=lifted_clouds())
+    @example(points=np.array([[1.0, 2.0]]))
+    @example(points=np.zeros((1, 0)))
+    @example(points=np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0]]))
+    @example(points=np.eye(5)[:4] * 2.0 ** 200)
+    @example(points=np.arange(12.0).reshape(4, 3) * 2.0 ** -200)
+    @example(points=np.array([[1.7e308, 0.0], [1.7e308, 1.0], [1.7e308, 3.0]]))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_eigenpairs(self, points):
+        X = euclidean_metric(points)
+        oracle, expected, _, expected_keep = spectral_decision(FiniteMetricSpace(X.n, X.d))
+        report, evals, vecs, keep = spectral_decision(X)
+        assert X.n - 1 - evals.size == max(X.n - 1 - points.shape[1], 0)
+        assert (report.is_negative_type, report.is_strict) == (oracle.is_negative_type,
+                                                                oracle.is_strict)
+        assert keep.sum() == expected_keep.sum()
+        assert vecs.shape == (X.n, evals.size)
+        # the eigenvalues the SVD leaves out are exact zeros
+        padded = np.concatenate([np.zeros(X.n - 1 - evals.size), evals])
+        radius = np.abs(expected).max(initial=0.0)
+        assert np.abs(padded - expected).max(initial=0.0) <= 16 * X.n * UNIT_ROUNDOFF * radius
+        assert report.threshold == pytest.approx(oracle.threshold, rel=1e-12, abs=0.0)
+        assert embed(X).residual <= RESIDUAL_LIMIT
+        if report.is_strict:
+            assert report.witness is None
+        else:
+            D = X.d ** 2
+            witness = report.witness
+            assert abs(witness.sum()) <= 8 * X.n * UNIT_ROUNDOFF
+            assert np.linalg.norm(witness) == pytest.approx(1.0, rel=1e-12)
+            assert abs(quadratic_form(D, witness)) <= 8 * X.n * UNIT_ROUNDOFF * np.abs(D).max()
+
+    def test_memory_is_linear(self, rng):
+        # no Gram matrix, restricted form or (n, n-1) eigenvectors: O(n m)
+        # memory, a witness of the kernel included
+        n = 400
+        X = euclidean_metric(rng.standard_normal((n, 3)))
+        tracemalloc.start()
+        try:
+            report = spectral_decision(X)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.witness is not None
+        assert peak <= 0.1 * n * n * 8  # bytes
